@@ -257,40 +257,5 @@ int main() {
     std::printf("wrote %s\n", memory_json);
   }
 
-  // With CLY_Q21_JSON set, A/B the shuffle handoff on the functional
-  // engine: "barrier" waits for every map before reducers fetch, "pipelined"
-  // lets reducers fetch published runs while maps still run. Output is
-  // byte-identical either way; the JSON captures the wall-clock delta and
-  // the measured overlap window.
-  const char* q21_json = std::getenv("CLY_Q21_JSON");
-  if (q21_json != nullptr && q21_json[0] != '\0') {
-    std::FILE* out = std::fopen(q21_json, "w");
-    CLY_CHECK(out != nullptr);
-    std::fprintf(out, "{\n");
-    const char* mode_names[] = {"barrier", "pipelined"};
-    for (int mode = 0; mode < 2; ++mode) {
-      core::ClydesdaleOptions copts;
-      copts.trace = true;  // in-memory spans only: needed for the overlap
-      copts.pipelined_shuffle = (mode == 1);
-      core::ClydesdaleEngine engine(env.cluster.get(), env.dataset.star,
-                                    copts);
-      auto run = engine.Execute(*query);
-      CLY_CHECK(run.ok());
-      const mr::JobReport& r = run->stage_reports[0];
-      const mr::CriticalPathReport path = mr::CriticalPath(r);
-      std::fprintf(out,
-                   "  \"%s\": {\"wall_seconds\": %.6f, "
-                   "\"map_phase_seconds\": %.6f, "
-                   "\"shuffle_overlap_seconds\": %.6f}%s\n",
-                   mode_names[mode], r.wall_seconds, path.map_phase_seconds,
-                   path.shuffle_overlap_seconds, mode == 0 ? "," : "");
-      std::printf("%s Q2.1: %.3f s wall, %.3f s shuffle overlap\n",
-                  mode_names[mode], r.wall_seconds,
-                  path.shuffle_overlap_seconds);
-    }
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", q21_json);
-  }
   return 0;
 }

@@ -1,20 +1,21 @@
-// A/B benchmark for the CIF scan: the same rows are written three times —
-// CIF v1 (plain blocks, eager decode), CIF v2 (zone maps + late
-// materialization), and CIF v3 (v2 plus per-block lightweight encodings:
-// RLE / bit-pack / frame-of-reference integers, dictionary + RLE-of-codes
-// strings) — then scanned several ways.
-//
-// The v1-vs-v2 cases measure late materialization: full (every column),
-// projected (a narrow column subset), and predicate (a ~5%-selectivity
-// clustered range). The v2-vs-v3 cases measure compressed execution on
+// A/B benchmark for CIF scan pushdown. The rows are written once, with
 // SSB-shaped columns (orderdate in chronological runs -> RLE, quantity and
-// discount in small domains -> bit-pack, revenue incompressible -> plain):
-// an encoded full scan, and an SSB Q1.1-shaped predicate (orderdate range
-// AND discount BETWEEN 1 AND 3 AND quantity < 25) evaluated in the
-// compressed domain. A final pass re-runs the v3 predicate scan with the
-// double-buffered block prefetcher and asserts byte-identical survivors.
-// Every predicate case filters engine-side with the bound predicates after
-// the scan, matching the engine's belt-and-braces re-check.
+// discount in small domains -> bit-pack, revenue incompressible -> plain,
+// mode -> dictionary), and each filtered case is scanned two ways:
+//
+//   unpushed  scan_spec = nullptr: every row is materialized and the filter
+//             runs engine-side after the scan (BoundPredicate::EvalBatch, or
+//             the key filter's Contains per row);
+//   pushed    the same filter handed to the reader as a ScanSpec: zone maps
+//             skip blocks and predicates/key filters run in the compressed
+//             domain before the projection is materialized. The engine-side
+//             re-check still runs, as it does in the engine.
+//
+// Cases: a ~5%-selectivity clustered id range, an SSB Q1.1-shaped predicate
+// (orderdate range AND discount BETWEEN 1 AND 3 AND quantity < 25), and the
+// date dimension pushed as a semi-join key filter on orderdate. Both arms of
+// a case must keep exactly the same rows. An unfiltered full scan reports
+// the raw decode rate and the observed compression.
 //
 // With CLY_SCAN_JSON set, writes the results (rows/s, per-pass wall
 // seconds, speedups, pruning stats, compression ratio, per-encoding block
@@ -23,6 +24,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -51,7 +53,7 @@ SchemaPtr FactSchema() {
 }
 
 // Rows per distinct orderdate: long chronological runs, the shape a
-// rolled-in fact table has, so v3 stores orderdate blocks as RLE.
+// rolled-in fact table has, so orderdate blocks are stored as RLE.
 constexpr int64_t kRowsPerDate = 4000;
 
 Row MakeRow(int64_t i) {
@@ -67,14 +69,12 @@ Row MakeRow(int64_t i) {
 }
 
 storage::TableDesc WriteTable(hdfs::MiniDfs* dfs, const std::string& path,
-                              int64_t rows, int64_t rows_per_split,
-                              int cif_version) {
+                              int64_t rows, int64_t rows_per_split) {
   storage::TableDesc desc;
   desc.path = path;
   desc.format = storage::kFormatCif;
   desc.schema = FactSchema();
   desc.rows_per_split = static_cast<uint64_t>(rows_per_split);
-  desc.cif_version = cif_version;
   auto writer = storage::OpenTableWriter(dfs, desc);
   CLY_CHECK(writer.ok());
   for (int64_t i = 0; i < rows; ++i) {
@@ -86,13 +86,16 @@ storage::TableDesc WriteTable(hdfs::MiniDfs* dfs, const std::string& path,
   return *loaded;
 }
 
+/// Engine-side filter over one scanned batch: clears `sel` for rows that
+/// fail. Null means the case has no filter.
+using Recheck = std::function<void(const RowBatch&, std::vector<uint8_t>*)>;
+
 /// One full pass over the table; returns the number of surviving rows.
-/// `engine_preds`, when non-empty, are applied batch-wise after the scan —
-/// the engine-side re-check every version pays.
+/// `recheck`, when set, runs batch-wise after the scan — the engine-side
+/// re-check both arms pay.
 int64_t ScanPass(const hdfs::MiniDfs& dfs, const storage::TableDesc& desc,
                  const std::vector<storage::StorageSplit>& splits,
-                 const storage::ScanOptions& base,
-                 const std::vector<const BoundPredicate*>& engine_preds,
+                 const storage::ScanOptions& base, const Recheck& recheck,
                  storage::ScanStats* stats) {
   int64_t rows_out = 0;
   std::vector<uint8_t> sel;
@@ -107,14 +110,12 @@ int64_t ScanPass(const hdfs::MiniDfs& dfs, const storage::TableDesc& desc,
       CLY_CHECK(more.ok());
       if (!*more) break;
       const int64_t n = batch.num_rows();
-      if (engine_preds.empty()) {
+      if (!recheck) {
         rows_out += n;
         continue;
       }
       sel.assign(static_cast<size_t>(n), 1);
-      for (const BoundPredicate* pred : engine_preds) {
-        pred->EvalBatch(batch, &sel);
-      }
+      recheck(batch, &sel);
       for (int64_t i = 0; i < n; ++i) rows_out += sel[static_cast<size_t>(i)];
     }
   }
@@ -149,22 +150,22 @@ struct CaseResult {
   double wall_seconds = 0;   // per pass
   double rows_per_sec = 0;   // table rows scanned per second
   int64_t rows_out = 0;
-  storage::ScanStats stats;  // last pass (late path only)
+  storage::ScanStats stats;  // last pass
 };
 
 CaseResult TimeCase(const hdfs::MiniDfs& dfs, const storage::TableDesc& desc,
                     const std::vector<storage::StorageSplit>& splits,
                     int64_t table_rows, const storage::ScanOptions& base,
-                    const std::vector<const BoundPredicate*>& engine_preds) {
+                    const Recheck& recheck) {
   CaseResult result;
   // Warmup: page in the column files and settle allocators.
-  ScanPass(dfs, desc, splits, base, engine_preds, nullptr);
+  ScanPass(dfs, desc, splits, base, recheck, nullptr);
   Stopwatch sw;
   int passes = 0;
   do {
     result.stats = storage::ScanStats();
     result.rows_out =
-        ScanPass(dfs, desc, splits, base, engine_preds, &result.stats);
+        ScanPass(dfs, desc, splits, base, recheck, &result.stats);
     ++passes;
   } while (sw.ElapsedSeconds() < 0.3);
   const double elapsed = sw.ElapsedSeconds();
@@ -180,24 +181,25 @@ void PrintCase(const char* name, const char* a_tag, const CaseResult& a,
               b_tag, a_tag, b.rows_per_sec / a.rows_per_sec);
 }
 
-void EmitCase(std::FILE* out, const char* name, const char* a_tag,
-              const CaseResult& a, const char* b_tag, const CaseResult& b,
-              const char* speedup_key) {
+/// One filtered case: the unpushed arm, the pushed arm (reported as "v3",
+/// the format version it scans) and the pushdown speedup.
+void EmitCase(std::FILE* out, const char* name, const CaseResult& unpushed,
+              const CaseResult& pushed) {
   std::fprintf(out,
                "  \"%s\": {\n"
-               "    \"%s\": {\"rows_per_sec\": %.1f, \"wall_seconds\": %.6f, "
-               "\"rows_out\": %lld},\n"
-               "    \"%s\": {\"rows_per_sec\": %.1f, \"wall_seconds\": %.6f, "
+               "    \"unpushed\": {\"rows_per_sec\": %.1f, "
+               "\"wall_seconds\": %.6f, \"rows_out\": %lld},\n"
+               "    \"v3\": {\"rows_per_sec\": %.1f, \"wall_seconds\": %.6f, "
                "\"rows_out\": %lld, \"blocks_skipped\": %llu, "
                "\"rows_pruned\": %llu},\n"
-               "    \"%s\": %.3f\n"
+               "    \"pushdown_speedup\": %.3f\n"
                "  },\n",
-               name, a_tag, a.rows_per_sec, a.wall_seconds,
-               static_cast<long long>(a.rows_out), b_tag, b.rows_per_sec,
-               b.wall_seconds, static_cast<long long>(b.rows_out),
-               static_cast<unsigned long long>(b.stats.blocks_skipped),
-               static_cast<unsigned long long>(b.stats.rows_pruned),
-               speedup_key, b.rows_per_sec / a.rows_per_sec);
+               name, unpushed.rows_per_sec, unpushed.wall_seconds,
+               static_cast<long long>(unpushed.rows_out), pushed.rows_per_sec,
+               pushed.wall_seconds, static_cast<long long>(pushed.rows_out),
+               static_cast<unsigned long long>(pushed.stats.blocks_skipped),
+               static_cast<unsigned long long>(pushed.stats.rows_pruned),
+               pushed.rows_per_sec / unpushed.rows_per_sec);
 }
 
 }  // namespace
@@ -220,18 +222,10 @@ int main() {
   dfs_options.replication = 1;
   hdfs::MiniDfs dfs(dfs_options);
 
-  const storage::TableDesc v1 =
-      WriteTable(&dfs, "/scan_ab_v1", rows, rows_per_split, /*cif_version=*/1);
-  const storage::TableDesc v2 =
-      WriteTable(&dfs, "/scan_ab_v2", rows, rows_per_split, /*cif_version=*/2);
-  const storage::TableDesc v3 =
-      WriteTable(&dfs, "/scan_ab_v3", rows, rows_per_split, /*cif_version=*/3);
-  auto v1_splits = storage::ListTableSplits(dfs, v1);
-  auto v2_splits = storage::ListTableSplits(dfs, v2);
-  auto v3_splits = storage::ListTableSplits(dfs, v3);
-  CLY_CHECK(v1_splits.ok());
-  CLY_CHECK(v2_splits.ok());
-  CLY_CHECK(v3_splits.ok());
+  const storage::TableDesc desc =
+      WriteTable(&dfs, "/scan_ab", rows, rows_per_split);
+  auto splits = storage::ListTableSplits(dfs, desc);
+  CLY_CHECK(splits.ok());
 
   // ~5% selectivity, clustered on the sequential id column — the shape a
   // date-range predicate over a chronologically rolled-in fact table has.
@@ -241,46 +235,43 @@ int main() {
   auto id_spec = std::make_shared<storage::ScanSpec>();
   id_spec->conjuncts.push_back(id_leaf);
 
-  // SSB Q1.1 shape: a half-table orderdate range (zone-refutable in v2 and
-  // v3 alike — the encoded win must come from elsewhere) AND two
-  // small-domain leaves evaluated per packed code / per run in v3.
+  // SSB Q1.1 shape: a half-table orderdate range (zone-refutable) AND two
+  // small-domain leaves evaluated per packed code / per run.
   const int64_t date_hi = INT64_C(19920101) + (rows / 2) / kRowsPerDate;
-  std::vector<Predicate::Ptr> q11 = {
+  std::vector<Predicate::Ptr> q11_leaves = {
       Predicate::Le("orderdate", Value(date_hi)),
       Predicate::Between("discount", Value(int32_t{1}), Value(int32_t{3})),
       Predicate::Lt("quantity", Value(int32_t{25})),
   };
   auto q11_spec = std::make_shared<storage::ScanSpec>();
-  for (const auto& leaf : q11) q11_spec->conjuncts.push_back(leaf);
+  for (const auto& leaf : q11_leaves) q11_spec->conjuncts.push_back(leaf);
 
   storage::ScanOptions full;
-  storage::ScanOptions projected;
-  projected.projection = {"revenue", "mode"};
   storage::ScanOptions predicate;
   predicate.projection = {"id", "revenue"};
   storage::ScanOptions predicate_pushed = predicate;
   predicate_pushed.scan_spec = id_spec;
-  storage::ScanOptions q11_pushed;
-  q11_pushed.projection = {"orderdate", "quantity", "discount", "revenue"};
-  q11_pushed.scan_spec = q11_spec;
-  storage::ScanOptions q11_prefetch = q11_pushed;
-  q11_prefetch.prefetch = true;
+  storage::ScanOptions q11_scan;
+  q11_scan.projection = {"orderdate", "quantity", "discount", "revenue"};
+  storage::ScanOptions q11_pushed_scan = q11_scan;
+  q11_pushed_scan.scan_spec = q11_spec;
 
   // SSB's date filter as the engine really executes it: the date-dimension
   // hash table pushed into the scan as a semi-join key filter on the fact's
   // orderdate FK. Every other date is a member, so zone maps cannot refute
-  // whole blocks and the probing granularity is what's measured — per row
-  // on v2's plain blocks, per run on v3's RLE blocks.
+  // whole blocks and the probing granularity is what's measured — one probe
+  // per row unpushed, one per RLE run pushed.
   const int64_t num_dates = (rows + kRowsPerDate - 1) / kRowsPerDate;
   std::unordered_set<int64_t> member_dates;
   for (int64_t d = 0; d < num_dates; d += 2) {
     member_dates.insert(INT64_C(19920101) + d);
   }
+  auto date_filter = std::make_shared<SetKeyFilter>(std::move(member_dates));
   auto keyfilter_spec = std::make_shared<storage::ScanSpec>();
-  keyfilter_spec->key_filters.push_back(
-      {"orderdate", std::make_shared<SetKeyFilter>(std::move(member_dates))});
-  storage::ScanOptions keyfilter_pushed;
-  keyfilter_pushed.projection = {"orderdate", "revenue"};
+  keyfilter_spec->key_filters.push_back({"orderdate", date_filter});
+  storage::ScanOptions keyfilter;
+  keyfilter.projection = {"orderdate", "revenue"};
+  storage::ScanOptions keyfilter_pushed = keyfilter;
   keyfilter_pushed.scan_spec = keyfilter_spec;
 
   auto bound_one = [](const Predicate::Ptr& leaf, const SchemaPtr& schema) {
@@ -295,81 +286,74 @@ int main() {
                                         {"quantity", TypeKind::kInt32, 4},
                                         {"discount", TypeKind::kInt32, 4},
                                         {"revenue", TypeKind::kInt64, 8}});
-  std::vector<std::shared_ptr<const BoundPredicate>> q11_bound_storage;
-  std::vector<const BoundPredicate*> q11_bound;
-  for (const auto& leaf : q11) {
-    q11_bound_storage.push_back(bound_one(leaf, q11_schema));
-    q11_bound.push_back(q11_bound_storage.back().get());
+  std::vector<std::shared_ptr<const BoundPredicate>> q11_bound;
+  for (const auto& leaf : q11_leaves) {
+    q11_bound.push_back(bound_one(leaf, q11_schema));
   }
+  const Recheck no_recheck;
+  const Recheck id_recheck = [&](const RowBatch& batch,
+                                 std::vector<uint8_t>* sel) {
+    id_bound->EvalBatch(batch, sel);
+  };
+  const Recheck q11_recheck = [&](const RowBatch& batch,
+                                  std::vector<uint8_t>* sel) {
+    for (const auto& pred : q11_bound) pred->EvalBatch(batch, sel);
+  };
+  const Recheck key_recheck = [&](const RowBatch& batch,
+                                  std::vector<uint8_t>* sel) {
+    const std::vector<int64_t>& dates = batch.column(0).i64();
+    for (size_t i = 0; i < dates.size(); ++i) {
+      (*sel)[i] &= static_cast<uint8_t>(date_filter->Contains(dates[i]));
+    }
+  };
 
-  std::printf("CIF scan A/B: %lld rows, %zu splits, id-predicate "
+  std::printf("CIF scan pushdown A/B: %lld rows, %zu splits, id-predicate "
               "selectivity %.1f%%\n\n",
-              static_cast<long long>(rows), v2_splits->size(),
+              static_cast<long long>(rows), splits->size(),
               100.0 * static_cast<double>(cutoff + 1) /
                   static_cast<double>(rows));
 
-  const std::vector<const BoundPredicate*> no_preds;
-  // --- late materialization: v1 vs v2 ---------------------------------------
-  const CaseResult full_v1 =
-      TimeCase(dfs, v1, *v1_splits, rows, full, no_preds);
-  const CaseResult full_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, full, no_preds);
-  const CaseResult proj_v1 =
-      TimeCase(dfs, v1, *v1_splits, rows, projected, no_preds);
-  const CaseResult proj_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, projected, no_preds);
-  const CaseResult pred_v1 =
-      TimeCase(dfs, v1, *v1_splits, rows, predicate, {id_bound.get()});
-  const CaseResult pred_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, predicate_pushed, {id_bound.get()});
-
-  // --- compressed execution: v2 vs v3 ---------------------------------------
-  const CaseResult enc_full_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, full, no_preds);
-  const CaseResult enc_full_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, full, no_preds);
-  const CaseResult enc_pred_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, q11_pushed, q11_bound);
-  const CaseResult enc_pred_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, q11_pushed, q11_bound);
-  const CaseResult enc_pref_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, q11_prefetch, q11_bound);
-  const CaseResult enc_key_v2 =
-      TimeCase(dfs, v2, *v2_splits, rows, keyfilter_pushed, no_preds);
-  const CaseResult enc_key_v3 =
-      TimeCase(dfs, v3, *v3_splits, rows, keyfilter_pushed, no_preds);
+  const CaseResult full_scan =
+      TimeCase(dfs, desc, *splits, rows, full, no_recheck);
+  const CaseResult pred_unpushed =
+      TimeCase(dfs, desc, *splits, rows, predicate, id_recheck);
+  const CaseResult pred_pushed =
+      TimeCase(dfs, desc, *splits, rows, predicate_pushed, id_recheck);
+  const CaseResult q11_unpushed =
+      TimeCase(dfs, desc, *splits, rows, q11_scan, q11_recheck);
+  const CaseResult q11_pushed =
+      TimeCase(dfs, desc, *splits, rows, q11_pushed_scan, q11_recheck);
+  const CaseResult key_unpushed =
+      TimeCase(dfs, desc, *splits, rows, keyfilter, key_recheck);
+  const CaseResult key_pushed =
+      TimeCase(dfs, desc, *splits, rows, keyfilter_pushed, key_recheck);
 
   // The pushed-down scans must surface exactly the rows the engine-side
-  // filter keeps — across versions AND across the prefetch knob; anything
-  // else is a correctness bug, not a speedup.
-  CLY_CHECK(pred_v1.rows_out == pred_v2.rows_out);
-  CLY_CHECK(pred_v1.rows_out == cutoff + 1);
-  CLY_CHECK(full_v1.rows_out == rows && full_v2.rows_out == rows);
-  CLY_CHECK(enc_full_v3.rows_out == rows);
-  CLY_CHECK(enc_pred_v2.rows_out == enc_pred_v3.rows_out);
-  CLY_CHECK(enc_pref_v3.rows_out == enc_pred_v3.rows_out);
-  CLY_CHECK(enc_pred_v3.rows_out > 0);
-  CLY_CHECK(enc_key_v2.rows_out == enc_key_v3.rows_out);
-  CLY_CHECK(enc_key_v3.rows_out > 0 && enc_key_v3.rows_out < rows);
+  // filter keeps; anything else is a correctness bug, not a speedup.
+  CLY_CHECK(full_scan.rows_out == rows);
+  CLY_CHECK(pred_unpushed.rows_out == cutoff + 1);
+  CLY_CHECK(pred_pushed.rows_out == pred_unpushed.rows_out);
+  CLY_CHECK(q11_unpushed.rows_out > 0);
+  CLY_CHECK(q11_pushed.rows_out == q11_unpushed.rows_out);
+  CLY_CHECK(key_unpushed.rows_out > 0 && key_unpushed.rows_out < rows);
+  CLY_CHECK(key_pushed.rows_out == key_unpushed.rows_out);
 
-  // Observed compression of the full v3 scan (every block loaded).
-  const storage::ScanStats& enc = enc_full_v3.stats;
+  // Observed compression of the full scan (every block loaded).
+  const storage::ScanStats& enc = full_scan.stats;
   CLY_CHECK(enc.bytes_encoded > 0);
   const double ratio = static_cast<double>(enc.bytes_raw) /
                        static_cast<double>(enc.bytes_encoded);
 
-  PrintCase("full scan", "v1", full_v1, "v2", full_v2);
-  PrintCase("projected", "v1", proj_v1, "v2", proj_v2);
-  PrintCase("predicate 5%", "v1", pred_v1, "v2", pred_v2);
-  PrintCase("encoded full", "v2", enc_full_v2, "v3", enc_full_v3);
-  PrintCase("encoded Q1.1", "v2", enc_pred_v2, "v3", enc_pred_v3);
-  PrintCase("encoded keyfilter", "v2", enc_key_v2, "v3", enc_key_v3);
-  PrintCase("Q1.1 prefetch", "v3", enc_pred_v3, "v3+pf", enc_pref_v3);
+  std::printf("%-20s %10.2f Mrows/s\n", "full scan",
+              full_scan.rows_per_sec / 1e6);
+  PrintCase("predicate 5%", "unpushed", pred_unpushed, "pushed", pred_pushed);
+  PrintCase("Q1.1", "unpushed", q11_unpushed, "pushed", q11_pushed);
+  PrintCase("keyfilter", "unpushed", key_unpushed, "pushed", key_pushed);
   std::printf("\nid-predicate pruning: %llu blocks skipped, %llu rows "
               "pruned before decode\n",
-              static_cast<unsigned long long>(pred_v2.stats.blocks_skipped),
-              static_cast<unsigned long long>(pred_v2.stats.rows_pruned));
-  std::printf("v3 compression: %.2fx (%llu encoded / %llu raw bytes); "
+              static_cast<unsigned long long>(pred_pushed.stats.blocks_skipped),
+              static_cast<unsigned long long>(pred_pushed.stats.rows_pruned));
+  std::printf("compression: %.2fx (%llu encoded / %llu raw bytes); "
               "blocks:",
               ratio, static_cast<unsigned long long>(enc.bytes_encoded),
               static_cast<unsigned long long>(enc.bytes_raw));
@@ -386,25 +370,16 @@ int main() {
     std::fprintf(out,
                  "{\n  \"rows\": %lld,\n  \"splits\": %zu,\n"
                  "  \"predicate_selectivity\": %.4f,\n",
-                 static_cast<long long>(rows), v2_splits->size(),
+                 static_cast<long long>(rows), splits->size(),
                  static_cast<double>(cutoff + 1) / static_cast<double>(rows));
-    EmitCase(out, "scan_full", "v1", full_v1, "v2", full_v2, "v2_speedup");
-    EmitCase(out, "scan_projected", "v1", proj_v1, "v2", proj_v2,
-             "v2_speedup");
-    EmitCase(out, "scan_predicate", "v1", pred_v1, "v2", pred_v2,
-             "v2_speedup");
-    EmitCase(out, "scan_encoded_full", "v2", enc_full_v2, "v3", enc_full_v3,
-             "v3_speedup");
-    EmitCase(out, "scan_encoded_predicate", "v2", enc_pred_v2, "v3",
-             enc_pred_v3, "v3_speedup");
-    EmitCase(out, "scan_encoded_keyfilter", "v2", enc_key_v2, "v3",
-             enc_key_v3, "v3_speedup");
     std::fprintf(out,
-                 "  \"prefetch\": {\"off_rows_per_sec\": %.1f, "
-                 "\"on_rows_per_sec\": %.1f, \"speedup\": %.3f, "
-                 "\"rows_out_identical\": true},\n",
-                 enc_pred_v3.rows_per_sec, enc_pref_v3.rows_per_sec,
-                 enc_pref_v3.rows_per_sec / enc_pred_v3.rows_per_sec);
+                 "  \"scan_encoded_full\": {\"v3\": {\"rows_per_sec\": %.1f, "
+                 "\"wall_seconds\": %.6f, \"rows_out\": %lld}},\n",
+                 full_scan.rows_per_sec, full_scan.wall_seconds,
+                 static_cast<long long>(full_scan.rows_out));
+    EmitCase(out, "scan_predicate", pred_unpushed, pred_pushed);
+    EmitCase(out, "scan_encoded_predicate", q11_unpushed, q11_pushed);
+    EmitCase(out, "scan_encoded_keyfilter", key_unpushed, key_pushed);
     std::fprintf(out, "  \"compression_ratio\": %.3f,\n  \"encodings\": {",
                  ratio);
     for (int e = 0; e < storage::kEncCount; ++e) {

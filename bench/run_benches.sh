@@ -2,9 +2,7 @@
 # Runs every google-benchmark micro suite and merges the JSON outputs into
 # one BENCH_micro.json: benchmark name -> { rows_per_sec, wall_seconds }.
 #
-# Usage: run_benches.sh [--no-q21-json] [bench_dir] [output_json]
-#   --no-q21-json  skip the Q2.1 barrier-vs-pipelined shuffle A/B
-#                  (BENCH_q21.json is published by default)
+# Usage: run_benches.sh [bench_dir] [output_json]
 #   bench_dir      directory holding the bench_micro_* binaries
 #                  (default: build/bench relative to the repo root)
 #   output_json    merged output path (default: BENCH_micro.json in $PWD)
@@ -13,17 +11,6 @@
 # bench_smoke CMake target pins it to 0.01 for a fast smoke pass.
 
 set -euo pipefail
-
-EMIT_Q21_JSON=1
-POSITIONAL=()
-for arg in "$@"; do
-  case "${arg}" in
-    --no-q21-json) EMIT_Q21_JSON=0 ;;
-    --q21-json) EMIT_Q21_JSON=1 ;;  # legacy flag: now the default
-    *) POSITIONAL+=("${arg}") ;;
-  esac
-done
-set -- "${POSITIONAL[@]:-}"
 
 SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 BENCH_DIR="${1:-${SCRIPT_DIR}/../build/bench}"
@@ -74,10 +61,10 @@ out_path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 print(f"wrote {out_path} ({len(merged)} benchmarks)")
 EOF
 
-# CIF scan A/B: v1 vs v2 (late materialization, DESIGN.md §11) and v2 vs v3
-# (compressed execution, DESIGN.md §12) across full / projected / predicate
-# scans. Publishes rows/s, per-pass wall seconds, speedups, zone-map pruning
-# stats, the observed compression ratio, and per-encoding block counts.
+# CIF scan A/B (DESIGN.md §11-§12): each filtered case scanned unpushed
+# (engine-side filter only) and pushed into the reader. Publishes rows/s,
+# per-pass wall seconds, pushdown speedups, zone-map pruning stats, the
+# observed compression ratio, and per-encoding block counts.
 SCAN_BIN="${BENCH_DIR}/bench_scan_ab"
 if [ -x "${SCAN_BIN}" ]; then
   echo "== bench_scan_ab (CLY_BENCH_SF=${CLY_BENCH_SF})"
@@ -88,7 +75,7 @@ if [ -x "${SCAN_BIN}" ]; then
     exit 1
   fi
   # The encoded-scan fields are part of the published contract: fail loudly
-  # if the A/B regressed to the v1/v2-only shape.
+  # if any of them goes missing.
   python3 - "${SCAN_JSON}" <<'EOF'
 import json
 import sys
@@ -97,22 +84,20 @@ path = sys.argv[1]
 data = json.loads(open(path).read())
 required = [
     "scan_encoded_full", "scan_encoded_predicate", "scan_encoded_keyfilter",
-    "prefetch", "compression_ratio", "encodings", "bytes_encoded",
-    "bytes_raw",
+    "compression_ratio", "encodings", "bytes_encoded", "bytes_raw",
 ]
 missing = [k for k in required if k not in data]
 for case in ("scan_encoded_full", "scan_encoded_predicate",
              "scan_encoded_keyfilter"):
-    for sub in ("v2", "v3", "v3_speedup"):
-        if case in data and sub not in data[case]:
-            missing.append(f"{case}.{sub}")
+    if case in data and "v3" not in data[case]:
+        missing.append(f"{case}.v3")
 if missing:
     sys.exit(f"error: {path} lacks encoded-scan fields: {', '.join(missing)}")
 print(f"{path}: compression {data['compression_ratio']:.2f}x, "
-      f"encoded-predicate speedup "
-      f"{data['scan_encoded_predicate']['v3_speedup']:.2f}x")
+      f"encoded-predicate pushdown speedup "
+      f"{data['scan_encoded_predicate']['pushdown_speedup']:.2f}x")
 EOF
-  echo "wrote ${SCAN_JSON} (late-materialization + compressed scan A/B)"
+  echo "wrote ${SCAN_JSON} (scan pushdown A/B + compression)"
 fi
 
 # Resident serving mode (DESIGN.md §15): N zipfian clients replay the 13 SSB
@@ -171,16 +156,9 @@ if [ -x "${Q21_BIN}" ]; then
   mkdir -p "${TRACE_DIR}"
   echo "== bench_q21_breakdown (traced, CLY_BENCH_SF=${CLY_BENCH_SF})"
   OUT_DIR="$(dirname "${OUT_JSON}")"
-  Q21_JSON=""
-  if [ "${EMIT_Q21_JSON}" = "1" ]; then
-    Q21_JSON="${OUT_DIR}/BENCH_q21.json"
-  fi
   MEMORY_JSON="${OUT_DIR}/BENCH_memory.json"
-  CLY_TRACE_DIR="${TRACE_DIR}" CLY_Q21_JSON="${Q21_JSON}" \
-    CLY_MEMORY_JSON="${MEMORY_JSON}" "${Q21_BIN}" >/dev/null
-  if [ -n "${Q21_JSON}" ] && [ -e "${Q21_JSON}" ]; then
-    echo "wrote ${Q21_JSON} (barrier vs pipelined shuffle A/B)"
-  fi
+  CLY_TRACE_DIR="${TRACE_DIR}" CLY_MEMORY_JSON="${MEMORY_JSON}" \
+    "${Q21_BIN}" >/dev/null
   # Hierarchical memory accounting: per-operator peaks + the tracker-on vs
   # tracker-off overhead A/B. The bench itself CLY_CHECKs the <=2% overhead
   # bound; here we fail loudly if the published shape loses fields.
@@ -263,8 +241,7 @@ missing = [k for k in ("wall_seconds", "profiled_span_seconds",
 node_fields = ("name", "kind", "rows_in", "rows_out", "selectivity",
                "batches", "wall_ns", "wall_max_ns", "cpu_ns", "bytes_decoded",
                "bytes_raw", "blocks_skipped", "rows_pruned",
-               "blocks_by_encoding", "prefetch_hits", "prefetch_misses",
-               "prefetch_wait_ns", "mem_current_bytes", "mem_peak_bytes",
+               "blocks_by_encoding", "mem_current_bytes", "mem_peak_bytes",
                "tasks", "children")
 kinds = set()
 

@@ -40,10 +40,6 @@ struct ClydesdaleOptions {
   int64_t batch_rows = 4096;
   /// CIF splits packed per multi-split; 0 = all of a node's splits at once.
   int64_t multisplit_size = 0;
-  /// Overlap reduce-side shuffle fetch with the map phase (JobConf::
-  /// pipelined_shuffle). Off = classic map→reduce barrier; output is
-  /// byte-identical either way, the knob exists for A/B measurement.
-  bool pipelined_shuffle = true;
   /// Span tracing for every stage job (obs.trace.enabled). Counters and
   /// histograms are always maintained; only span recording is gated.
   bool trace = false;
@@ -63,21 +59,6 @@ struct ClydesdaleOptions {
   /// nodes accumulated per task attempt, merged into JobReport::profile and
   /// rendered as EXPLAIN ANALYZE. Off = zero instrumentation overhead.
   bool profile = false;
-  /// Late-materialization CIF scan (cif.scan.late_materialize): evaluate
-  /// pushed-down predicates and dimension-key filters on encoded column
-  /// blocks, consult zone maps to skip whole blocks, and decode strings
-  /// zero-copy. Only affects v2+ CIF tables; results are byte-identical
-  /// either way — the knob exists for A/B measurement.
-  bool late_materialize = true;
-  /// Double-buffered async block read-ahead in the CIF scan
-  /// (cif.scan.prefetch): a worker thread fetches the next column block
-  /// while the current one decodes. Off by default; byte-identical results.
-  bool scan_prefetch = false;
-  /// Carry RLE run metadata from CIF v3 blocks into the probe loop so
-  /// foreign-key probes and COUNT-style aggregates work per run instead of
-  /// per row. On by default (the vectorized probe is run-aware); the knob
-  /// exists for A/B measurement — results are byte-identical either way.
-  bool expose_runs = true;
   /// Hierarchical memory accounting (obs.mem.enabled): the MemTracker tree
   /// charges dim hash tables, scan arenas, aggregation tables and shuffle
   /// runs, surfacing per-operator bytes in EXPLAIN ANALYZE and MEM_*
@@ -99,9 +80,10 @@ struct ClydesdaleOptions {
   std::shared_ptr<DimTableCache> dim_cache;
 };
 
-/// Forwards the options' engine knobs (trace, pipelined shuffle) into a
-/// stage job's conf; every Clydesdale stage job (single-job, staged
-/// fallback) goes through this so traces stay comparable across plans.
+/// Forwards the options' observability knobs (trace, metrics, history,
+/// profile, memory tracking and budget) into a stage job's conf; every
+/// Clydesdale stage job (single-job, staged fallback) goes through this so
+/// traces stay comparable across plans.
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf);
 
 /// Conf key: comma-separated output columns for staged-join stages. When

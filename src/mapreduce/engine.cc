@@ -308,10 +308,10 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 
   // Map and reduce phases both run inside the runner: trackers pull attempts
   // (late-binding locality), maps publish shuffle runs as they finish, and
-  // reducers fetch + merge those runs while the map phase is still going
-  // (unless conf.pipelined_shuffle is off). The shared_ptr keeps the runner
-  // alive for any tracker worker still unwinding after the job completes.
-  // Construction (attempt table, scheduling policy) is still setup time.
+  // reducers fetch + merge those runs while the map phase is still going.
+  // The shared_ptr keeps the runner alive for any tracker worker still
+  // unwinding after the job completes. Construction (attempt table,
+  // scheduling policy) is still setup time.
   auto runner = std::make_shared<JobRunner>(
       cluster, &conf, instance, std::move(splits), input_format.get(),
       output_format.get(), &report, trace, metrics, history);

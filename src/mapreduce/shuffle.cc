@@ -228,32 +228,6 @@ void ShuffleStore::CloseProducers() {
   cv_.notify_all();
 }
 
-std::vector<ShuffleRun> ShuffleStore::TakePartition(int partition) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto runs = std::move(partitions_[static_cast<size_t>(partition)]);
-  partitions_[static_cast<size_t>(partition)].clear();
-  // The consumer may have drained a prefix via AwaitNewRuns already; only
-  // the rest counts as fetched now.
-  const size_t already = consumed_[static_cast<size_t>(partition)];
-  consumed_[static_cast<size_t>(partition)] = 0;
-  uint64_t bytes = 0;
-  for (size_t i = already; i < runs.size(); ++i) {
-    bytes += runs[i].encoded_bytes;
-    ReleaseRunLocked(runs[i]);
-  }
-  unfetched_bytes_ -= bytes;
-  if (metrics_ != nullptr && runs.size() > already) {
-    metrics_->shuffle_runs_fetched()->Add(
-        static_cast<int64_t>(runs.size() - already));
-    metrics_->shuffle_bytes_inflight()->Add(-static_cast<int64_t>(bytes));
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const ShuffleRun& a, const ShuffleRun& b) {
-              return a.map_task < b.map_task;
-            });
-  return runs;
-}
-
 bool ShuffleStore::AwaitNewRuns(int partition, std::vector<ShuffleRun>* out) {
   std::unique_lock<std::mutex> lock(mu_);
   auto& runs = partitions_[static_cast<size_t>(partition)];

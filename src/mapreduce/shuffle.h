@@ -89,10 +89,8 @@ struct ShuffleRun {
 /// In-memory stand-in for the map-output files + HTTP fetch path. Thread-safe
 /// producers (map tasks) / single consumer per partition (its reducer).
 ///
-/// Two consumption modes: the barrier path takes a whole partition at once
-/// after every producer finished (TakePartition); the pipelined path drains
-/// runs incrementally as maps publish them (AwaitNewRuns), unblocking for
-/// good once CloseProducers marks the map side done.
+/// Reducers drain runs incrementally as maps publish them (AwaitNewRuns),
+/// unblocking for good once CloseProducers marks the map side done.
 class ShuffleStore {
  public:
   /// `metrics` (optional) receives live publish/fetch counts and the
@@ -109,16 +107,13 @@ class ShuffleStore {
   void set_mem_trackers(
       std::vector<std::shared_ptr<obs::MemTracker>> trackers);
 
-  /// Makes one map task's run visible to the partition's reducer. In the
-  /// pipelined engine this happens the moment the map attempt succeeds —
-  /// there is no job-wide barrier between publish and fetch.
+  /// Makes one map task's run visible to the partition's reducer. This
+  /// happens the moment the map attempt succeeds — there is no job-wide
+  /// barrier between publish and fetch.
   void PublishRun(int partition, ShuffleRun run);
 
   /// No further PublishRun calls will happen; wakes blocked reducers.
   void CloseProducers();
-
-  /// All runs for a partition, ordered by map task index (determinism).
-  std::vector<ShuffleRun> TakePartition(int partition);
 
   /// Blocks until the partition has unconsumed runs or producers are closed.
   /// Moves the new runs (arrival order) into `out` and returns true; returns
@@ -147,15 +142,15 @@ class ShuffleStore {
 };
 
 /// One record in merge order, tagged with its producing map task — the
-/// tie-break that keeps incremental merging byte-identical to the barrier
-/// k-way merge.
+/// tie-break that keeps incremental merging byte-identical to a k-way merge
+/// of every run at once.
 struct MergedRecord {
   KeyValue kv;
   int map_task = 0;
 };
 
 /// Incrementally merges sorted runs as they arrive. Total order is (key,
-/// map task, in-run position): exactly what the barrier path's k-way heap
+/// map task, in-run position): exactly what a k-way heap over all runs
 /// pops, so a reducer fed run-by-run produces byte-identical output no
 /// matter how publish and fetch interleave.
 class ShuffleMerger {

@@ -1,6 +1,7 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "common/strings.h"
 
@@ -45,7 +46,13 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       token.kind = TokenKind::kNumber;
       token.raw = sql.substr(i, j - i);
       token.text = token.raw;
-      token.number = std::stoll(token.raw);
+      const auto [end, ec] = std::from_chars(
+          token.raw.data(), token.raw.data() + token.raw.size(), token.number);
+      if (ec != std::errc() || end != token.raw.data() + token.raw.size()) {
+        return Status::InvalidArgument(
+            StrCat("SQL error at offset ", i, ": integer literal ", token.raw,
+                   " is out of range"));
+      }
       i = j;
     } else if (c == '\'') {
       std::string value;

@@ -154,7 +154,6 @@ Result<TableStats> AnalyzeTable(const hdfs::MiniDfs& dfs,
   }
   TableStats stats;
   stats.table_path = desc.path;
-  stats.cif_version = desc.cif_version;
 
   const Schema& schema = *desc.schema;
   std::vector<ColumnAccumulator> accumulators;
@@ -195,7 +194,6 @@ Result<TableStats> AnalyzeTable(const hdfs::MiniDfs& dfs,
 std::string SerializeTableStats(const TableStats& stats) {
   std::string out = "statscatalog 1\n";
   out.append(StrCat("table ", stats.table_path, "\n"));
-  out.append(StrCat("cif_version ", stats.cif_version, "\n"));
   out.append(StrCat("num_rows ", stats.num_rows, "\n"));
   out.append(StrCat("columns ", stats.columns.size(), "\n"));
   for (const ColumnStats& column : stats.columns) {
@@ -259,8 +257,6 @@ Result<TableStats> ParseTableStats(std::string_view text) {
       saw_header = true;
     } else if (key == "table") {
       stats.table_path = rest;
-    } else if (key == "cif_version") {
-      stats.cif_version = static_cast<int>(std::strtol(rest.c_str(), nullptr, 10));
     } else if (key == "num_rows") {
       stats.num_rows = std::strtoull(rest.c_str(), nullptr, 10);
     } else if (key == "columns") {
@@ -320,7 +316,7 @@ std::string StatsCatalog::EntryPath(const TableDesc& desc) const {
   for (char& c : escaped) {
     if (c == '/') c = '_';
   }
-  return StrCat(root_, "/", escaped, ".v", desc.cif_version, ".stats");
+  return StrCat(root_, "/", escaped, ".stats");
 }
 
 Result<TableStats> StatsCatalog::Analyze(const TableDesc& desc,
@@ -335,20 +331,17 @@ Result<TableStats> StatsCatalog::Analyze(const TableDesc& desc,
 Result<TableStats> StatsCatalog::Load(const TableDesc& desc) const {
   const std::string path = EntryPath(desc);
   if (!dfs_->Exists(path)) {
-    return Status::NotFound(StrCat("no stats for ", desc.path, " at v",
-                                   desc.cif_version));
+    return Status::NotFound(StrCat("no stats for ", desc.path));
   }
   CLY_ASSIGN_OR_RETURN(std::string text, dfs_->ReadFileToString(path));
   CLY_ASSIGN_OR_RETURN(TableStats stats, ParseTableStats(text));
   // Load-time invalidation: the entry must describe the table as it stands.
-  // A roll-in/roll-out changes num_rows, a format migration changes the
-  // version — either way stale statistics are worse than none.
-  if (stats.cif_version != desc.cif_version ||
-      stats.num_rows != desc.num_rows) {
-    return Status::NotFound(
-        StrCat("stats for ", desc.path, " are stale (recorded ",
-               stats.num_rows, " rows at v", stats.cif_version, ", table has ",
-               desc.num_rows, " at v", desc.cif_version, ")"));
+  // A roll-in/roll-out changes num_rows, and stale statistics are worse
+  // than none.
+  if (stats.num_rows != desc.num_rows) {
+    return Status::NotFound(StrCat("stats for ", desc.path,
+                                   " are stale (recorded ", stats.num_rows,
+                                   " rows, table has ", desc.num_rows, ")"));
   }
   return stats;
 }

@@ -42,10 +42,9 @@ struct ColumnStats {
   }
 };
 
-/// ANALYZE output for one table at one CIF version.
+/// ANALYZE output for one table.
 struct TableStats {
   std::string table_path;
-  int cif_version = 0;
   /// Exact row count observed by the scan (not the metadata claim).
   uint64_t num_rows = 0;
   std::vector<ColumnStats> columns;
@@ -72,12 +71,10 @@ Result<TableStats> AnalyzeTable(const hdfs::MiniDfs& dfs,
 std::string SerializeTableStats(const TableStats& stats);
 Result<TableStats> ParseTableStats(std::string_view text);
 
-/// Versioned persistent statistics store over sim-HDFS. Entries are keyed by
-/// (table path, cif_version) — a rewrite of the table at a new CIF version
-/// never aliases stale statistics — and invalidated at load time when the
-/// live TableDesc disagrees with the recorded shape (row count drift from a
-/// roll-in/roll-out, or a version bump), so a stale entry degrades to "not
-/// analyzed yet" rather than to wrong estimates.
+/// Persistent statistics store over sim-HDFS. Entries are keyed by table
+/// path and invalidated at load time when the live TableDesc disagrees with
+/// the recorded shape (row count drift from a roll-in/roll-out), so a stale
+/// entry degrades to "not analyzed yet" rather than to wrong estimates.
 class StatsCatalog {
  public:
   explicit StatsCatalog(hdfs::MiniDfs* dfs, std::string root = "/stats");
@@ -86,9 +83,8 @@ class StatsCatalog {
   Result<TableStats> Analyze(const TableDesc& desc,
                              const AnalyzeOptions& options = {});
 
-  /// Loads the entry for (desc.path, desc.cif_version). NotFound when the
-  /// table was never analyzed at this version or the entry is invalidated
-  /// by desc (num_rows mismatch).
+  /// Loads the entry for desc.path. NotFound when the table was never
+  /// analyzed or the entry is invalidated by desc (num_rows mismatch).
   Result<TableStats> Load(const TableDesc& desc) const;
 
   bool Has(const TableDesc& desc) const;
@@ -96,7 +92,7 @@ class StatsCatalog {
   /// Drops the entry (no-op when absent).
   Status Invalidate(const TableDesc& desc);
 
-  /// DFS path of the entry for (desc.path, desc.cif_version).
+  /// DFS path of the entry for desc.path.
   std::string EntryPath(const TableDesc& desc) const;
 
  private:

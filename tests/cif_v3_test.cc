@@ -1,9 +1,9 @@
-// CIF v3 compressed-scan tests: per-block encoding selection end to end,
-// predicate/key-filter pushdown evaluated in the compressed domain,
-// compression accounting, run-metadata exposure, the async block prefetcher
-// (byte-identical results; arena lifetime under the tsan preset), version
-// cross-checks, and the corruption cases the v3 reader must reject with
-// IoError (never undefined behaviour — the asan preset runs this suite).
+// CIF scan tests: per-block encoding selection end to end, zone-map block
+// skipping, predicate/key-filter pushdown evaluated in the compressed
+// domain, compression accounting, run-metadata exposure, zero-copy string
+// views and their arena lifetime, roll-in segments, version checks, and the
+// corruption cases the reader must reject with IoError (never undefined
+// behaviour — the asan preset runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -57,14 +57,14 @@ class CifV3Test : public ::testing::Test {
     return options;
   }
 
-  TableDesc WriteTable(const std::string& path, int n, int64_t rows_per_split,
-                       int cif_version = 3) {
+  /// Writes `n` rows of MakeRow and returns the desc reloaded from `_meta`.
+  TableDesc WriteTable(const std::string& path, int n,
+                       int64_t rows_per_split) {
     TableDesc desc;
     desc.path = path;
     desc.format = kFormatCif;
     desc.schema = FactSchema();
     desc.rows_per_split = rows_per_split;
-    desc.cif_version = cif_version;
     auto writer = OpenTableWriter(&dfs_, desc);
     CLY_CHECK(writer.ok());
     for (int i = 0; i < n; ++i) CLY_CHECK_OK((*writer)->Append(MakeRow(i)));
@@ -89,7 +89,9 @@ std::shared_ptr<const ScanSpec> SpecWith(Predicate::Ptr leaf) {
 
 TEST_F(CifV3Test, NewTablesDefaultToV3AndRoundTrip) {
   const TableDesc desc = WriteTable("/v3", 1024, 256);
-  EXPECT_EQ(desc.cif_version, 3);
+  auto meta = dfs_.ReadFileToString("/v3/_meta");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_NE(meta->find("cif_version=3\n"), std::string::npos) << *meta;
   auto rows = Scan(desc, ScanOptions{});
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(rows->size(), 1024u);
@@ -175,6 +177,18 @@ TEST_F(CifV3Test, PackedZoneSkipsDisjointBlocks) {
   EXPECT_EQ(stats.rows_pruned, 1024u - 51u);
 }
 
+TEST_F(CifV3Test, DictionaryZoneRefutesAbsentString) {
+  const TableDesc desc = WriteTable("/dictzone", 128, 64);
+  ScanStats stats;
+  ScanOptions scan;
+  scan.scan_spec = SpecWith(Predicate::Eq("mode", Value("CANAL")));
+  scan.scan_stats = &stats;
+  auto rows = Scan(desc, scan);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(rows->empty());
+  EXPECT_EQ(stats.rows_pruned, 128u);  // every row, by zone or by code test
+}
+
 /// Set-membership filter standing in for a dimension hash table.
 class SetKeyFilter final : public ScanKeyFilter {
  public:
@@ -235,32 +249,15 @@ TEST_F(CifV3Test, EveryKnobCombinationIsByteIdentical) {
   ASSERT_TRUE(reference.ok());
   ASSERT_FALSE(reference->empty());
 
-  for (const bool prefetch : {false, true}) {
-    for (const bool expose_runs : {false, true}) {
-      ScanOptions scan = base;
-      scan.prefetch = prefetch;
-      scan.expose_runs = expose_runs;
-      auto rows = Scan(desc, scan);
-      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-      ASSERT_EQ(rows->size(), reference->size())
-          << "prefetch=" << prefetch << " expose_runs=" << expose_runs;
-      for (size_t i = 0; i < rows->size(); ++i) {
-        ASSERT_EQ((*rows)[i], (*reference)[i]);
-      }
+  for (const bool expose_runs : {false, true}) {
+    ScanOptions scan = base;
+    scan.expose_runs = expose_runs;
+    auto rows = Scan(desc, scan);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), reference->size()) << "expose_runs=" << expose_runs;
+    for (size_t i = 0; i < rows->size(); ++i) {
+      ASSERT_EQ((*rows)[i], (*reference)[i]);
     }
-  }
-
-  // Late vs eager (spec must be dropped for the comparison: the eager path
-  // ignores it by contract).
-  auto late = Scan(desc, ScanOptions{});
-  ScanOptions eager;
-  eager.late_materialize = false;
-  auto eager_rows = Scan(desc, eager);
-  ASSERT_TRUE(late.ok());
-  ASSERT_TRUE(eager_rows.ok());
-  ASSERT_EQ(late->size(), eager_rows->size());
-  for (size_t i = 0; i < late->size(); ++i) {
-    ASSERT_EQ((*late)[i], (*eager_rows)[i]);
   }
 }
 
@@ -305,13 +302,35 @@ TEST_F(CifV3Test, ExposedRunsSurviveBatchSlicing) {
   EXPECT_TRUE(saw_runs) << "RLE qty blocks should surface run metadata";
 }
 
-TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
-  // The prefetcher's worker thread fetches block k+1 while block k decodes;
-  // the string views a batch hands out must stay valid for as long as the
+TEST_F(CifV3Test, BatchReaderSlicesStringViews) {
+  const TableDesc desc = WriteTable("/views", 200, 200);
+  auto splits = ListTableSplits(dfs_, desc);
+  ASSERT_TRUE(splits.ok());
+  ASSERT_EQ(splits->size(), 1u);
+  auto reader = OpenSplitBatchReader(dfs_, desc, (*splits)[0], ScanOptions{});
+  ASSERT_TRUE(reader.ok());
+  RowBatch batch((*reader)->output_schema());
+  int32_t next_id = 0;
+  while (true) {
+    auto more = (*reader)->NextBatch(&batch, 33);  // uneven slice boundaries
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    // The string column must arrive as arena-backed views (zero-copy), and
+    // every accessor must agree with the written values.
+    EXPECT_TRUE(batch.column(4).is_string_view());
+    for (int64_t i = 0; i < batch.num_rows(); ++i, ++next_id) {
+      EXPECT_EQ(batch.GetRow(i), MakeRow(next_id));
+    }
+  }
+  EXPECT_EQ(next_id, 200);
+}
+
+TEST_F(CifV3Test, ArenasOutliveHandedOutStringViews) {
+  // The string views a batch hands out must stay valid for as long as the
   // consumer holds the batch's arena — exactly what an aggregator does with
   // group keys. Collect every view plus its pinning arena across the whole
-  // scan, then read them all back after the reader (and its worker) is
-  // gone. The tsan preset checks the handoff, asan the lifetime.
+  // scan, then read them all back after the readers are gone; asan checks
+  // the lifetime.
   const TableDesc desc = WriteTable("/arena", 1024, 128);
   std::vector<std::pair<std::shared_ptr<const std::vector<uint8_t>>,
                         std::vector<std::string_view>>>
@@ -321,7 +340,6 @@ TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
     ASSERT_TRUE(splits.ok());
     ScanOptions scan;
     scan.projection = {"mode", "qty"};
-    scan.prefetch = true;
     for (const StorageSplit& split : *splits) {
       auto reader = OpenSplitBatchReader(dfs_, desc, split, scan);
       ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -336,7 +354,7 @@ TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
         held.push_back({mode.string_arena(), mode.str_views()});
       }
     }
-  }  // readers and their prefetch threads destroyed here
+  }  // readers destroyed here
   int32_t i = 0;
   const char* modes[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
   for (const auto& [arena, views] : held) {
@@ -348,45 +366,126 @@ TEST_F(CifV3Test, PrefetchedArenasOutliveHandedOutStringViews) {
   EXPECT_EQ(i, 1024);
 }
 
-TEST_F(CifV3Test, PrefetchReportsIoStats) {
-  const TableDesc desc = WriteTable("/iostats", 512, 128);
-  hdfs::IoStats with, without;
-  ScanOptions scan;
-  scan.stats = &without;
-  ASSERT_TRUE(Scan(desc, scan).ok());
-  scan.stats = &with;
-  scan.prefetch = true;
-  ASSERT_TRUE(Scan(desc, scan).ok());
-  // The worker's reads are merged back after join; both modes must account
-  // the same bytes.
-  EXPECT_EQ(with.TotalRead(), without.TotalRead());
+TEST_F(CifV3Test, AppendedSegmentScans) {
+  const TableDesc desc = WriteTable("/seg", 100, 64);
+  auto appender = AppendCifSegment(&dfs_, desc);
+  ASSERT_TRUE(appender.ok());
+  for (int i = 100; i < 150; ++i) {
+    ASSERT_TRUE((*appender)->Append(MakeRow(i)).ok());
+  }
+  ASSERT_TRUE((*appender)->Close().ok());
+  auto reloaded = LoadTableDesc(dfs_, "/seg");
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  auto rows = Scan(*reloaded, ScanOptions{});
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 150u);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    EXPECT_EQ((*rows)[i], MakeRow(static_cast<int32_t>(i)));
+  }
 }
 
-TEST_F(CifV3Test, V2TablesStillWriteAndReadAsV2) {
-  const TableDesc desc = WriteTable("/v2compat", 512, 256, /*cif_version=*/2);
-  ASSERT_EQ(desc.cif_version, 2);
+// --- small splits --------------------------------------------------------------
+
+/// Pruning and metadata cases on 64-row blocks, including a partial last
+/// block. The suite name is the one these cases had when the format still
+/// had a v2 layout; they now run on the only format.
+class CifV2Test : public CifV3Test {};
+
+TEST_F(CifV2Test, MetadataRoundTripsVersion) {
+  // The version line survives the writer, the loader and a roll-in append.
+  const TableDesc desc = WriteTable("/meta", 100, 64);
+  auto meta = dfs_.ReadFileToString("/meta/_meta");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_NE(meta->find("cif_version=3\n"), std::string::npos) << *meta;
+  auto appender = AppendCifSegment(&dfs_, desc);
+  ASSERT_TRUE(appender.ok());
+  ASSERT_TRUE((*appender)->Append(MakeRow(100)).ok());
+  ASSERT_TRUE((*appender)->Close().ok());
+  meta = dfs_.ReadFileToString("/meta/_meta");
+  ASSERT_TRUE(meta.ok());
+  EXPECT_NE(meta->find("cif_version=3\n"), std::string::npos) << *meta;
+  auto reloaded = LoadTableDesc(dfs_, "/meta");
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->num_rows, 101u);
+}
+
+TEST_F(CifV2Test, ZoneMapsSkipDisjointBlocks) {
+  // 256 sequential ids over 4 splits of 64: ids >= 64 never match, so three
+  // of the four blocks must be refuted by their zone maps alone.
+  const TableDesc desc = WriteTable("/zones", 256, 64);
   ScanStats stats;
   ScanOptions scan;
+  scan.scan_spec = SpecWith(Predicate::Le("id", Value(int32_t{50})));
   scan.scan_stats = &stats;
   auto rows = Scan(desc, scan);
   ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 512u);
-  // v2 blocks carry no encoding tags: everything loads as plain except
-  // dictionary strings, which are classified from their sub-format byte so
-  // compression accounting stays meaningful.
-  EXPECT_EQ(stats.blocks_by_encoding[kEncRle], 0u);
-  EXPECT_EQ(stats.blocks_by_encoding[kEncBitPack], 0u);
-  EXPECT_EQ(stats.blocks_by_encoding[kEncFor], 0u);
-  EXPECT_EQ(stats.blocks_by_encoding[kEncDictRle], 0u);
-  EXPECT_GT(stats.blocks_by_encoding[kEncPlain], 0u);
-  EXPECT_GT(stats.blocks_by_encoding[kEncDict], 0u);
+  ASSERT_EQ(rows->size(), 51u);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    EXPECT_EQ((*rows)[i], MakeRow(static_cast<int32_t>(i)));
+  }
+  EXPECT_EQ(stats.blocks_skipped, 3u);
+  // 3 skipped blocks (192 rows) + 13 rows pruned inside the first block.
+  EXPECT_EQ(stats.rows_pruned, 205u);
+}
+
+TEST_F(CifV2Test, PushdownMatchesEngineSideFilterExactly) {
+  // 300 rows: four full 64-row blocks and a partial one of 44.
+  const TableDesc desc = WriteTable("/pushdown", 300, 64);
+  const auto leaves = {
+      Predicate::Between("id", Value(int32_t{40}), Value(int32_t{200})),
+      Predicate::Gt("date", Value(int64_t{19920150})),
+      Predicate::Le("price", Value(12.5)),
+      Predicate::Eq("mode", Value("SHIP")),
+      Predicate::In("id", {Value(int32_t{3}), Value(int32_t{77}),
+                           Value(int32_t{290})}),
+      Predicate::Ne("mode", Value("AIR")),
+  };
+  auto all = Scan(desc, ScanOptions{});
+  ASSERT_TRUE(all.ok());
+  for (const Predicate::Ptr& leaf : leaves) {
+    ScanOptions pushed;
+    pushed.scan_spec = SpecWith(leaf);
+    auto got = Scan(desc, pushed);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+    // Reference: the full scan, filtered row by row with the bound leaf.
+    auto bound = leaf->Bind(*desc.schema);
+    ASSERT_TRUE(bound.ok());
+    std::vector<Row> expected;
+    for (const Row& row : *all) {
+      if ((*bound)->Eval(row)) expected.push_back(row);
+    }
+    ASSERT_EQ(got->size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*got)[i], expected[i]);
+    }
+  }
+}
+
+TEST_F(CifV2Test, KeyFiltersPruneRowsAndSkipBlocks) {
+  const TableDesc desc = WriteTable("/keys", 256, 64);
+  auto spec = std::make_shared<ScanSpec>();
+  spec->key_filters.push_back(
+      {"id", std::make_shared<SetKeyFilter>(std::set<int64_t>{5, 60, 61})});
+  ScanStats stats;
+  ScanOptions scan;
+  scan.scan_spec = spec;
+  scan.scan_stats = &stats;
+  auto rows = Scan(desc, scan);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 3u);
+  EXPECT_EQ((*rows)[0], MakeRow(5));
+  EXPECT_EQ((*rows)[1], MakeRow(60));
+  EXPECT_EQ((*rows)[2], MakeRow(61));
+  // Splits [64,128), [128,192), [192,256) are outside [5, 61].
+  EXPECT_EQ(stats.blocks_skipped, 3u);
 }
 
 // --- corruption --------------------------------------------------------------
 
-/// Byte-level corruption of v3 blocks: one split, one DFS block per column
-/// file, so rewriting a file preserves the reader's block math. The "date"
-/// column encodes as FoR, "id" as bit-pack at this size.
+/// Byte-level corruption of encoded blocks: one split, one DFS block per
+/// column file, so rewriting a file preserves the reader's block math. The
+/// "date" column encodes as FoR, "id" as bit-pack at this size.
 class CifV3CorruptionTest : public CifV3Test {
  protected:
   TableDesc WriteSmall(const std::string& path) {
@@ -409,7 +508,7 @@ class CifV3CorruptionTest : public CifV3Test {
   }
 
   /// Footer layout: [..][u32 zone_len][u32 "FOOT"]; the zone region starts
-  /// with the v3 encoding-tag byte at size - 8 - zone_len.
+  /// with the encoding-tag byte at size - 8 - zone_len.
   static size_t EncTagOffset(const std::string& block) {
     CLY_CHECK(block.size() >= 16);
     uint32_t zone_len = 0;
@@ -418,17 +517,13 @@ class CifV3CorruptionTest : public CifV3Test {
     return block.size() - 8 - zone_len;
   }
 
-  /// Both decode paths must reject the table with IoError (asan verifies
-  /// the rejection involves no out-of-bounds access).
-  void ExpectIoErrorBothPaths(const TableDesc& desc) {
-    for (const bool late : {true, false}) {
-      ScanOptions scan;
-      scan.late_materialize = late;
-      auto rows = Scan(desc, scan);
-      ASSERT_FALSE(rows.ok()) << "late_materialize=" << late;
-      EXPECT_EQ(rows.status().code(), StatusCode::kIoError)
-          << "late_materialize=" << late << ": " << rows.status().ToString();
-    }
+  /// The scan must reject the table with IoError (asan verifies the
+  /// rejection involves no out-of-bounds access).
+  void ExpectIoError(const TableDesc& desc) {
+    auto rows = Scan(desc, ScanOptions{});
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kIoError)
+        << rows.status().ToString();
   }
 };
 
@@ -438,7 +533,7 @@ TEST_F(CifV3CorruptionTest, UnknownEncodingTagIsRejected) {
   std::string block = ReadFile(file);
   block[EncTagOffset(block)] = static_cast<char>(0xC8);
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
 TEST_F(CifV3CorruptionTest, IntegerTagOnStringColumnIsRejected) {
@@ -447,7 +542,7 @@ TEST_F(CifV3CorruptionTest, IntegerTagOnStringColumnIsRejected) {
   std::string block = ReadFile(file);
   block[EncTagOffset(block)] = static_cast<char>(kEncRle);
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
 TEST_F(CifV3CorruptionTest, TruncatedPackedWordsAreRejected) {
@@ -460,7 +555,7 @@ TEST_F(CifV3CorruptionTest, TruncatedPackedWordsAreRejected) {
   ASSERT_GE(payload_end, 8u + 8u);
   block.erase(payload_end - 8, 8);
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
 TEST_F(CifV3CorruptionTest, OutOfRangeForDeltasAreRejected) {
@@ -474,17 +569,115 @@ TEST_F(CifV3CorruptionTest, OutOfRangeForDeltasAreRejected) {
   for (size_t i = 8; i < 15; ++i) block[i] = static_cast<char>(0xFF);
   block[15] = 0x7F;
   Rewrite(file, std::move(block));
-  ExpectIoErrorBothPaths(desc);
+  ExpectIoError(desc);
 }
 
 TEST_F(CifV3CorruptionTest, VersionCrossReadsAreRejected) {
-  TableDesc v3 = WriteSmall("/v3file");
-  v3.cif_version = 2;  // a stale v2 reader's view of a v3 file
-  ExpectIoErrorBothPaths(v3);
+  // A block of an earlier layout (here: the "CIF2" magic) must fail on its
+  // magic instead of being misparsed as the current one.
+  const TableDesc desc = WriteSmall("/oldmagic");
+  const std::string file = ColumnFile("/oldmagic", "id");
+  std::string block = ReadFile(file);
+  block[3] = '2';  // "CIF3" -> "CIF2", little-endian u32 at offset 0
+  Rewrite(file, std::move(block));
+  ExpectIoError(desc);
+}
 
-  TableDesc v2 = WriteTable("/v2file", 64, 64, /*cif_version=*/2);
-  v2.cif_version = 3;  // metadata claims v3, files are v2
-  ExpectIoErrorBothPaths(v2);
+/// Framing and dictionary corruption shared by every column type, plus
+/// metadata that names another format version.
+class CifCorruptionTest : public CifV3CorruptionTest {};
+
+TEST_F(CifCorruptionTest, TruncatedZoneMapFooterIsRejected) {
+  const TableDesc desc = WriteSmall("/trunc");
+  const std::string file = ColumnFile("/trunc", "id");
+  std::string block = ReadFile(file);
+  block.resize(block.size() - 5);
+  Rewrite(file, std::move(block));
+  ExpectIoError(desc);
+}
+
+TEST_F(CifCorruptionTest, OversizedZoneLengthIsRejected) {
+  const TableDesc desc = WriteSmall("/zlen");
+  const std::string file = ColumnFile("/zlen", "date");
+  std::string block = ReadFile(file);
+  // The u32 before the trailing footer magic is the zone-map length; claim
+  // it covers more bytes than the whole block.
+  for (size_t i = block.size() - 8; i < block.size() - 4; ++i) {
+    block[i] = static_cast<char>(0xFF);
+  }
+  Rewrite(file, std::move(block));
+  ExpectIoError(desc);
+}
+
+TEST_F(CifCorruptionTest, OutOfRangeDictionaryCodeIsRejected) {
+  // 64 rows of "mode" hold two values in two runs: the writer picks
+  // dict-RLE, whose last run code sits just before its u32 run lengths.
+  const TableDesc desc = WriteSmall("/dictcode");
+  const std::string file = ColumnFile("/dictcode", "mode");
+  std::string block = ReadFile(file);
+  const size_t tag = EncTagOffset(block);
+  ASSERT_EQ(static_cast<uint8_t>(block[tag]), kEncDictRle);
+  const size_t last_code = tag - 2 * sizeof(uint32_t) - 1;
+  block[last_code] = static_cast<char>(0xFB);
+  Rewrite(file, std::move(block));
+  ExpectIoError(desc);
+
+  // The one-code-per-row dictionary layout: a table whose modes change
+  // every row makes RLE-of-codes lose, so the codes end right before the
+  // footer's encoding tag.
+  TableDesc plain_dict;
+  plain_dict.path = "/dictrows";
+  plain_dict.format = kFormatCif;
+  plain_dict.schema = Schema::Make({{"mode", TypeKind::kString, 6}});
+  plain_dict.rows_per_split = 64;
+  auto writer = OpenTableWriter(&dfs_, plain_dict);
+  ASSERT_TRUE(writer.ok());
+  const char* modes[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE((*writer)->Append(Row({Value(modes[i % 4])})).ok());
+  }
+  ASSERT_TRUE((*writer)->Close().ok());
+  const std::string dict_file = ColumnFile("/dictrows", "mode");
+  block = ReadFile(dict_file);
+  const size_t dict_tag = EncTagOffset(block);
+  ASSERT_EQ(static_cast<uint8_t>(block[dict_tag]), kEncDict);
+  block[dict_tag - 1] = static_cast<char>(0xFB);
+  Rewrite(dict_file, std::move(block));
+  auto reloaded = LoadTableDesc(dfs_, "/dictrows");
+  ASSERT_TRUE(reloaded.ok());
+  ExpectIoError(*reloaded);
+}
+
+TEST_F(CifCorruptionTest, V1ReaderOnV2FileIsRejected) {
+  // A column file in the unframed v1 layout (raw fixed-width values, no
+  // magic, no footer) under metadata that names the current version: the
+  // reader must fail on the framing instead of taking the bytes as values.
+  const TableDesc desc = WriteSmall("/v1file");
+  std::string raw;
+  for (int32_t i = 0; i < 64; ++i) {
+    raw.append(reinterpret_cast<const char*>(&i), sizeof(i));
+  }
+  Rewrite(ColumnFile("/v1file", "id"), std::move(raw));
+  ExpectIoError(desc);
+}
+
+TEST_F(CifCorruptionTest, MetaWithoutCifVersion3IsRejected) {
+  // Tables of the removed v1/v2 layouts (or metadata that predates the
+  // version key) must not load at all, let alone be scanned as v3.
+  WriteSmall("/meta");
+  const std::string meta = ReadFile("/meta/_meta");
+  const size_t at = meta.find("cif_version=3\n");
+  ASSERT_NE(at, std::string::npos) << meta;
+  const std::string missing =
+      meta.substr(0, at) + meta.substr(at + std::strlen("cif_version=3\n"));
+  for (const std::string& variant :
+       {missing, meta.substr(0, at) + "cif_version=1\n" + missing.substr(at),
+        meta.substr(0, at) + "cif_version=2\n" + missing.substr(at)}) {
+    Rewrite("/meta/_meta", variant);
+    auto loaded = LoadTableDesc(dfs_, "/meta");
+    ASSERT_FALSE(loaded.ok()) << variant;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << variant;
+  }
 }
 
 }  // namespace

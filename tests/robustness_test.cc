@@ -142,6 +142,44 @@ TEST(RobustnessTest, GarbageMetaFileIsIoError) {
   ASSERT_TRUE(dfs.WriteFile("/t/_meta", "not=even\nclose").ok());
   EXPECT_EQ(storage::LoadTableDesc(dfs, "/t").status().code(),
             StatusCode::kIoError);
+
+  // Every numeric field of an otherwise valid CIF meta, corrupted: garbage,
+  // trailing bytes, and values beyond the field's range.
+  const std::string valid_columns = "columns=k:int32:4.00\n";
+  const char* bad_lines[] = {
+      "rows=abc\n",
+      "rows=12x\n",
+      "rows=99999999999999999999999\n",
+      "rows_per_split=-1\n",
+      "segment_rows=5,,6\n",
+      "cif_version=99999999999\n",
+      "cif_version=\n",
+  };
+  int n = 0;
+  for (const char* bad : bad_lines) {
+    const std::string dir = StrCat("/bad", n++);
+    const std::string meta =
+        StrCat("format=cif\nrows=16\nrows_per_split=16\ncif_version=3\n", bad,
+               valid_columns);
+    ASSERT_TRUE(dfs.WriteFile(dir + "/_meta", meta).ok());
+    EXPECT_EQ(storage::LoadTableDesc(dfs, dir).status().code(),
+              StatusCode::kIoError)
+        << bad;
+  }
+  const std::string bad_width = StrCat("/bad", n++);
+  ASSERT_TRUE(dfs.WriteFile(bad_width + "/_meta",
+                            "format=cif\nrows=16\nrows_per_split=16\n"
+                            "cif_version=3\ncolumns=k:int32:x\n")
+                  .ok());
+  EXPECT_EQ(storage::LoadTableDesc(dfs, bad_width).status().code(),
+            StatusCode::kIoError);
+  // The same meta with sound values loads.
+  const std::string good = StrCat("/bad", n++);
+  ASSERT_TRUE(dfs.WriteFile(good + "/_meta",
+                            "format=cif\nrows=16\nrows_per_split=16\n"
+                            "cif_version=3\n" + valid_columns)
+                  .ok());
+  EXPECT_TRUE(storage::LoadTableDesc(dfs, good).ok());
 }
 
 TEST(RobustnessTest, TruncatedCifColumnIsIoError) {

@@ -170,6 +170,13 @@ TEST(LexerTest, TwoCharOperators) {
 TEST(LexerTest, Errors) {
   EXPECT_FALSE(Tokenize("x = 'unterminated").ok());
   EXPECT_FALSE(Tokenize("x ? y").ok());
+  // A digit run beyond int64 is a parse error at its offset, not an abort.
+  auto overlong = Tokenize("lo_quantity < 99999999999999999999");
+  ASSERT_FALSE(overlong.ok());
+  EXPECT_EQ(overlong.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overlong.status().message().find("offset 14"), std::string::npos)
+      << overlong.status().ToString();
+  EXPECT_TRUE(Tokenize("x < 9223372036854775807").ok()) << "INT64_MAX fits";
 }
 
 TEST_F(SqlTest, AllSsbQueriesParseAndMatchTheCatalogue) {
@@ -262,6 +269,9 @@ TEST_F(SqlTest, RejectsBadQueries) {
       // trailing garbage
       "SELECT SUM(lo_revenue) FROM lineorder, date "
       "WHERE lo_orderdate = d_datekey LIMIT 5",
+      // integer literal beyond int64
+      "SELECT SUM(lo_revenue) FROM lineorder, date "
+      "WHERE lo_orderdate = d_datekey AND lo_quantity < 99999999999999999999",
   };
   for (const char* sql : bad) {
     EXPECT_FALSE(ParseStarQuery(sql, dataset_->star).ok()) << sql;

@@ -1,7 +1,7 @@
 // ANALYZE / statistics-catalog tests: HLL accuracy (the 2%-at-1M-distinct
 // acceptance band), equi-depth histogram edge cases (all-equal, all-distinct,
 // empty), deterministic reservoir sampling, exact AnalyzeTable row counts
-// and min/max over CIF, the text persistence round trip, and the versioned
+// and min/max over CIF, the text persistence round trip, and the
 // catalog's load-time invalidation plus process-restart survival.
 
 #include <gtest/gtest.h>
@@ -151,8 +151,7 @@ class StatsCatalogTest : public ::testing::Test {
     return options;
   }
 
-  storage::TableDesc WriteFact(const std::string& path, int rows,
-                               int cif_version = 3) {
+  storage::TableDesc WriteFact(const std::string& path, int rows) {
     storage::TableDesc desc;
     desc.path = path;
     desc.format = storage::kFormatCif;
@@ -161,7 +160,6 @@ class StatsCatalogTest : public ::testing::Test {
                                 {"price", TypeKind::kDouble, 8},
                                 {"mode", TypeKind::kString, 6}});
     desc.rows_per_split = 256;
-    desc.cif_version = cif_version;
     auto writer = storage::OpenTableWriter(&dfs_, desc);
     CLY_CHECK(writer.ok());
     const char* modes[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
@@ -184,7 +182,6 @@ TEST_F(StatsCatalogTest, AnalyzeTableComputesExactShapeStats) {
   auto stats = storage::AnalyzeTable(dfs_, desc);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->table_path, "/fact");
-  EXPECT_EQ(stats->cif_version, 3);
   EXPECT_EQ(stats->num_rows, 2000u) << "exact scan count, not metadata";
   ASSERT_EQ(stats->columns.size(), 4u);
 
@@ -237,7 +234,7 @@ TEST_F(StatsCatalogTest, SerializationRoundTripsEveryField) {
   EXPECT_FALSE(storage::ParseTableStats("garbage").ok());
 }
 
-TEST_F(StatsCatalogTest, CatalogPersistsAcrossRestartAndKeysOnVersion) {
+TEST_F(StatsCatalogTest, CatalogPersistsAcrossRestart) {
   const storage::TableDesc desc = WriteFact("/sales", 1000);
   {
     storage::StatsCatalog catalog(&dfs_);
@@ -257,13 +254,11 @@ TEST_F(StatsCatalogTest, CatalogPersistsAcrossRestartAndKeysOnVersion) {
   ASSERT_NE(id, nullptr);
   EXPECT_NEAR(id->ndv, 1000.0, 1000.0 * 0.02);
 
-  // Entries key on (table, cif_version): the same path at another version
-  // reads as never-analyzed instead of aliasing stale statistics.
-  storage::TableDesc v2 = desc;
-  v2.cif_version = 2;
-  EXPECT_FALSE(reopened.Has(v2));
-  EXPECT_TRUE(reopened.Load(v2).status().IsNotFound());
-  EXPECT_NE(reopened.EntryPath(desc), reopened.EntryPath(v2));
+  // Entries key on the table path: another table reads as never-analyzed.
+  storage::TableDesc other = desc;
+  other.path = "/other";
+  EXPECT_FALSE(reopened.Has(other));
+  EXPECT_NE(reopened.EntryPath(desc), reopened.EntryPath(other));
 }
 
 TEST_F(StatsCatalogTest, LoadInvalidatesOnRowCountDrift) {
@@ -287,15 +282,31 @@ TEST_F(StatsCatalogTest, LoadInvalidatesOnRowCountDrift) {
 }
 
 TEST_F(StatsCatalogTest, AnalyzeWorksOnEveryCifVersion) {
+  // v3 is the only CIF version that loads: ANALYZE and the catalog work on
+  // it, and a table whose _meta names v1 or v2 is refused before any scan.
   for (int version : {1, 2, 3}) {
     SCOPED_TRACE(StrCat("cif v", version));
-    const storage::TableDesc desc =
-        WriteFact(StrCat("/v", version), 600, version);
+    const std::string path = StrCat("/v", version);
+    const storage::TableDesc desc = WriteFact(path, 600);
+    if (version != 3) {
+      auto meta = dfs_.ReadFileToString(path + "/_meta");
+      ASSERT_TRUE(meta.ok());
+      const size_t at = meta->find("cif_version=3\n");
+      ASSERT_NE(at, std::string::npos) << *meta;
+      (*meta)[at + std::string("cif_version=").size()] =
+          static_cast<char>('0' + version);
+      CLY_CHECK_OK(dfs_.Delete(path + "/_meta"));
+      CLY_CHECK_OK(dfs_.WriteFile(path + "/_meta", *meta));
+      auto loaded = storage::LoadTableDesc(dfs_, path);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+          << loaded.status().ToString();
+      continue;
+    }
     storage::StatsCatalog catalog(&dfs_);
     auto stats = catalog.Analyze(desc);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->num_rows, 600u);
-    EXPECT_EQ(stats->cif_version, version);
     auto loaded = catalog.Load(desc);
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded->num_rows, 600u);
