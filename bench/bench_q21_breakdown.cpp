@@ -106,11 +106,11 @@ int main() {
   const char* trace_dir = std::getenv("CLY_TRACE_DIR");
   if (trace_dir != nullptr && trace_dir[0] != '\0') {
     core::ClydesdaleOptions copts;
-    copts.trace = true;
-    copts.trace_dir = trace_dir;
-    copts.metrics = true;
-    copts.history = true;
-    copts.profile = true;
+    copts.obs.trace = true;
+    copts.obs.trace_dir = trace_dir;
+    copts.obs.metrics = true;
+    copts.obs.history = true;
+    copts.obs.profile = true;
     core::ClydesdaleEngine engine(env.cluster.get(), env.dataset.star, copts);
     auto traced = engine.Execute(*query);
     CLY_CHECK(traced.ok());
@@ -158,7 +158,7 @@ int main() {
       double best = 0;
       for (int rep = 0; rep < 3; ++rep) {
         core::ClydesdaleOptions plain;
-        plain.profile = (arm == 1);
+        plain.obs.profile = (arm == 1);
         core::ClydesdaleEngine ab(env.cluster.get(), env.dataset.star, plain);
         Stopwatch timer;
         auto run = ab.Execute(*query);
@@ -181,7 +181,7 @@ int main() {
   const char* memory_json = std::getenv("CLY_MEMORY_JSON");
   if (memory_json != nullptr && memory_json[0] != '\0') {
     core::ClydesdaleOptions mopts;
-    mopts.profile = true;
+    mopts.obs.profile = true;
     core::ClydesdaleEngine engine(env.cluster.get(), env.dataset.star, mopts);
     auto run = engine.Execute(*query);
     CLY_CHECK(run.ok());

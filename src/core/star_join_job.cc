@@ -250,24 +250,15 @@ Result<std::vector<std::string>> ProjectionFromConf(const mr::JobConf& conf) {
 }  // namespace
 
 std::vector<std::string> ClydesdaleCounterNames() {
-  return {
-      kCounterHashBuilds,  kCounterHashBuildRows, kCounterHashEntries,
-      kCounterHashBytes,   kCounterProbeRows,     kCounterJoinOutputRows,
-      kCounterProbeBatches, kCounterAggGroups,    kCounterAggBytes,
-  };
+  std::vector<std::string> names;
+#define CLY_LIST_COUNTER(id, name, group) names.push_back(id);
+  CLY_CORE_COUNTERS(CLY_LIST_COUNTER)
+#undef CLY_LIST_COUNTER
+  return names;
 }
 
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf) {
-  if (options.trace) conf->SetBool(mr::kConfTraceEnabled, true);
-  if (!options.trace_dir.empty()) {
-    conf->Set(mr::kConfTraceDir, options.trace_dir);
-  }
-  if (options.metrics) {
-    conf->SetBool(mr::kConfMetricsEnabled, true);
-    conf->SetInt(mr::kConfMetricsIntervalMs, options.metrics_interval_ms);
-  }
-  if (options.history) conf->SetBool(mr::kConfHistoryEnabled, true);
-  if (options.profile) conf->SetBool(mr::kConfProfileEnabled, true);
+  mr::ApplyObsOptions(options.obs, conf);
   // Tracking defaults on; only an explicit off needs recording in the conf.
   if (!options.mem_tracking) conf->SetBool(mr::kConfMemTrackingEnabled, false);
   if (options.mem_budget_bytes > 0) {

@@ -40,25 +40,8 @@ struct ClydesdaleOptions {
   int64_t batch_rows = 4096;
   /// CIF splits packed per multi-split; 0 = all of a node's splits at once.
   int64_t multisplit_size = 0;
-  /// Span tracing for every stage job (obs.trace.enabled). Counters and
-  /// histograms are always maintained; only span recording is gated.
-  bool trace = false;
-  /// When tracing, write <job>-<instance>.trace.json/.timeline.txt into
-  /// this directory (obs.trace.dir). Empty = keep spans in-memory only.
-  std::string trace_dir;
-  /// Live cluster metrics + online straggler detection for every stage job
-  /// (obs.metrics.enabled): the MetricsPoller samples the registry on
-  /// `metrics_interval_ms` and, when trace_dir is set, RunJob writes
-  /// .prom/.metrics.json/.dashboard.txt artifacts next to the trace.
-  bool metrics = false;
-  int64_t metrics_interval_ms = 5;
-  /// Structured JSONL job-history log (obs.history.enabled), persisted to
-  /// node 0's LocalStore and (with trace_dir) as <job>-<n>.history.jsonl.
-  bool history = false;
-  /// Per-operator query profiler (obs.profile.enabled): scan/probe/aggregate
-  /// nodes accumulated per task attempt, merged into JobReport::profile and
-  /// rendered as EXPLAIN ANALYZE. Off = zero instrumentation overhead.
-  bool profile = false;
+  /// Trace, metrics, history and profile switches for every stage job.
+  mr::ObsOptions obs;
   /// Hierarchical memory accounting (obs.mem.enabled): the MemTracker tree
   /// charges dim hash tables, scan arenas, aggregation tables and shuffle
   /// runs, surfacing per-operator bytes in EXPLAIN ANALYZE and MEM_*
@@ -80,10 +63,10 @@ struct ClydesdaleOptions {
   std::shared_ptr<DimTableCache> dim_cache;
 };
 
-/// Forwards the options' observability knobs (trace, metrics, history,
-/// profile, memory tracking and budget) into a stage job's conf; every
-/// Clydesdale stage job (single-job, staged fallback) goes through this so
-/// traces stay comparable across plans.
+/// Forwards the options' observability switches (ObsOptions, memory tracking
+/// and budget) into a stage job's conf; every Clydesdale stage job
+/// (single-job, staged fallback) goes through this so traces stay
+/// comparable across plans.
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf);
 
 /// Conf key: comma-separated output columns for staged-join stages. When
@@ -92,21 +75,26 @@ void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf);
 /// the paper's §5.1 memory-constrained fallback.
 inline constexpr const char kConfJoinEmitColumns[] = "clydesdale.join.emit.columns";
 
-// Clydesdale-specific job counters.
-inline constexpr const char kCounterHashBuilds[] = "CLY_HASH_TABLE_BUILDS";
-inline constexpr const char kCounterHashBuildRows[] = "CLY_HASH_BUILD_INPUT_ROWS";
-inline constexpr const char kCounterHashEntries[] = "CLY_HASH_ENTRIES";
-inline constexpr const char kCounterHashBytes[] = "CLY_HASH_MEMORY_BYTES";
-inline constexpr const char kCounterProbeRows[] = "CLY_PROBE_INPUT_ROWS";
-inline constexpr const char kCounterJoinOutputRows[] = "CLY_JOIN_OUTPUT_ROWS";
-// Vectorized-pipeline counters: blocks through the selection-vector probe
-// loop, and the per-thread partial-aggregate table shape at task end.
-inline constexpr const char kCounterProbeBatches[] = "CLY_PROBE_BATCHES";
-inline constexpr const char kCounterAggGroups[] = "CLY_AGG_PARTIAL_GROUPS";
-inline constexpr const char kCounterAggBytes[] = "CLY_AGG_MEMORY_BYTES";
+// Clydesdale-specific job counters, declared once in the mr::CounterGroup
+// table format: the hash builds, probe and join row counts; blocks through
+// the selection-vector probe loop (block iteration on); the per-thread
+// partial-aggregate table shape at task end (map-side aggregation on).
+// A default-options query that builds its tables populates all of them
+// (EngineIntegrationTest.ClydesdaleCountersAllPopulated).
+#define CLY_CORE_COUNTERS(X)                                         \
+  X(kCounterHashBuilds, "CLY_HASH_TABLE_BUILDS", kStandard)          \
+  X(kCounterHashBuildRows, "CLY_HASH_BUILD_INPUT_ROWS", kStandard)   \
+  X(kCounterHashEntries, "CLY_HASH_ENTRIES", kStandard)              \
+  X(kCounterHashBytes, "CLY_HASH_MEMORY_BYTES", kStandard)           \
+  X(kCounterProbeRows, "CLY_PROBE_INPUT_ROWS", kStandard)            \
+  X(kCounterJoinOutputRows, "CLY_JOIN_OUTPUT_ROWS", kStandard)       \
+  X(kCounterProbeBatches, "CLY_PROBE_BATCHES", kStandard)            \
+  X(kCounterAggGroups, "CLY_AGG_PARTIAL_GROUPS", kStandard)          \
+  X(kCounterAggBytes, "CLY_AGG_MEMORY_BYTES", kStandard)
 
-/// Every Clydesdale-specific counter name above, for the same
-/// scripts/check_counters.sh audit that covers the engine counters.
+CLY_CORE_COUNTERS(CLY_DECLARE_COUNTER)
+
+/// Every Clydesdale-specific counter name above, in table order.
 std::vector<std::string> ClydesdaleCounterNames();
 
 /// Histogram (JobReport::histograms): per-probe-thread join hit rate as a

@@ -18,18 +18,6 @@ HiveEngine::HiveEngine(mr::MrCluster* cluster, core::StarSchema star,
 
 Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   Stopwatch timer;
-  auto apply_trace = [this](mr::JobConf* conf) {
-    if (options_.trace) conf->SetBool(mr::kConfTraceEnabled, true);
-    if (!options_.trace_dir.empty()) {
-      conf->Set(mr::kConfTraceDir, options_.trace_dir);
-    }
-    if (options_.metrics) {
-      conf->SetBool(mr::kConfMetricsEnabled, true);
-      conf->SetInt(mr::kConfMetricsIntervalMs, options_.metrics_interval_ms);
-    }
-    if (options_.history) conf->SetBool(mr::kConfHistoryEnabled, true);
-    if (options_.profile) conf->SetBool(mr::kConfProfileEnabled, true);
-  };
   const std::string scratch =
       StrCat(options_.scratch_root, "/", JoinStrategyName(options_.strategy));
   CLY_ASSIGN_OR_RETURN(HivePlan plan, CompileHivePlan(star_, spec, scratch));
@@ -58,7 +46,7 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
                            MakeMapJoinJob(stage, hash_file, options_.dim_cache));
     }
     conf.job_name = StrCat("hive-", spec.id, "-", conf.job_name);
-    apply_trace(&conf);
+    mr::ApplyObsOptions(options_.obs, &conf);
     CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster_, conf));
     result.stage_reports.push_back(std::move(job.report));
   }
@@ -74,7 +62,7 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
     CLY_ASSIGN_OR_RETURN(mr::JobConf conf,
                          MakeGroupByJob(plan.agg, options_.reduce_tasks));
     conf.job_name = StrCat("hive-", spec.id, "-groupby");
-    apply_trace(&conf);
+    mr::ApplyObsOptions(options_.obs, &conf);
     CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster_, conf));
     result.stage_reports.push_back(std::move(job.report));
   }
@@ -83,7 +71,7 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   {
     CLY_ASSIGN_OR_RETURN(mr::JobConf conf, MakeOrderByJob(plan.agg));
     conf.job_name = StrCat("hive-", spec.id, "-orderby");
-    apply_trace(&conf);
+    mr::ApplyObsOptions(options_.obs, &conf);
     CLY_ASSIGN_OR_RETURN(mr::JobResult job, mr::RunJob(cluster_, conf));
     result.rows = std::move(job.output_rows);
     result.stage_reports.push_back(std::move(job.report));

@@ -18,21 +18,11 @@ struct HiveOptions {
   std::string scratch_root = "/tmp/hive";
   /// Drop intermediate tables after the query finishes.
   bool cleanup_intermediates = true;
-  /// Span tracing for every stage job, mirroring ClydesdaleOptions::trace —
-  /// a traced Hive run and a traced Clydesdale run of the same query yield
-  /// directly comparable Chrome traces.
-  bool trace = false;
-  /// When tracing, write per-stage trace/timeline files here.
-  std::string trace_dir;
-  /// Live cluster metrics + straggler detection per stage job, mirroring
-  /// ClydesdaleOptions::metrics.
-  bool metrics = false;
-  int64_t metrics_interval_ms = 5;
-  /// JSONL job-history logging per stage job (obs.history.enabled).
-  bool history = false;
-  /// Per-operator query profiling per stage job (obs.profile.enabled),
-  /// mirroring ClydesdaleOptions::profile. Off = zero instrumentation cost.
-  bool profile = false;
+  /// Trace, metrics, history and profile switches for every stage job,
+  /// the same struct as ClydesdaleOptions::obs: a traced Hive run and a
+  /// traced Clydesdale run of the same query yield directly comparable
+  /// Chrome traces.
+  mr::ObsOptions obs;
   /// Serving-mode cross-query dim-table cache, mirroring
   /// ClydesdaleOptions::dim_cache: mapjoin stages share built broadcast
   /// tables across queries instead of reloading them per task. Null (the

@@ -1,111 +1,64 @@
 #include "mapreduce/cluster_metrics.h"
 
+#include <map>
+
 #include "common/strings.h"
 
 namespace clydesdale {
 namespace mr {
 
 std::vector<std::string> StandardMetricFamilyNames() {
-  return {
-      kMetricRunningMaps,          kMetricRunningReduces,
-      kMetricQueuedMaps,           kMetricQueuedReduces,
-      kMetricAttemptsFinished,     kMetricAttemptDuration,
-      kMetricShuffleRunsPublished, kMetricShuffleRunsFetched,
-      kMetricShuffleBytesInflight, kMetricStragglersRunning,
-      kMetricStragglersTotal,      kMetricJobsRunning,
-      kMetricMemNodeBytes,         kMetricMemNodePeakBytes,
-      kMetricMemJobBytes,          kMetricMemJobPeakBytes,
-      kMetricCacheBytes,           kMetricCacheEntries,
-  };
+  std::vector<std::string> names;
+#define CLY_LIST_FAMILY(id, name, group, kind, labels, help) names.push_back(id);
+  CLY_MR_METRIC_FAMILIES(CLY_LIST_FAMILY)
+#undef CLY_LIST_FAMILY
+  return names;
+}
+
+std::vector<std::string> MetricFamilyNames(MetricGroup group) {
+  std::vector<std::string> names;
+#define CLY_LIST_FAMILY(id, name, row_group, kind, labels, help) \
+  if (MetricGroup::row_group == group) names.push_back(id);
+  CLY_MR_METRIC_FAMILIES(CLY_LIST_FAMILY)
+#undef CLY_LIST_FAMILY
+  return names;
 }
 
 ClusterMetrics::ClusterMetrics(obs::MetricsRegistry* registry, int num_nodes)
     : registry_(registry) {
-  obs::MetricFamily* running_maps = registry->GaugeFamily(
-      kMetricRunningMaps, "Map task attempts running on each node", {"node"});
-  obs::MetricFamily* running_reduces = registry->GaugeFamily(
-      kMetricRunningReduces, "Reduce task attempts running on each node",
-      {"node"});
-  obs::MetricFamily* mem_node = registry->GaugeFamily(
-      kMetricMemNodeBytes, "Tracked memory bytes resident on each node",
-      {"node"});
-  obs::MetricFamily* mem_node_peak = registry->GaugeFamily(
-      kMetricMemNodePeakBytes,
-      "High-water tracked memory bytes on each node", {"node"});
-  obs::MetricFamily* mem_job = registry->GaugeFamily(
-      kMetricMemJobBytes,
-      "Tracked memory bytes of running jobs on each node", {"node"});
-  obs::MetricFamily* mem_job_peak = registry->GaugeFamily(
-      kMetricMemJobPeakBytes,
-      "High-water tracked memory bytes of jobs on each node", {"node"});
-  running_maps_.reserve(num_nodes);
-  running_reduces_.reserve(num_nodes);
+  std::map<std::string, obs::MetricFamily*> families;
+#define CLY_REGISTER_FAMILY(id, name, group, kind, labels, help)          \
+  families[id] = registry->Family(                                        \
+      id, help, obs::MetricKind::kind,                                    \
+      *labels == '\0' ? std::vector<std::string>{} : StrSplit(labels, ','));
+  CLY_MR_METRIC_FAMILIES(CLY_REGISTER_FAMILY)
+#undef CLY_REGISTER_FAMILY
+  auto family = [&families](const char* name) { return families.at(name); };
+
   for (int node = 0; node < num_nodes; ++node) {
     const std::string label = StrCat(node);
-    running_maps_.push_back(running_maps->GaugeAt({label}));
-    running_reduces_.push_back(running_reduces->GaugeAt({label}));
-    mem_node_bytes_.push_back(mem_node->GaugeAt({label}));
-    mem_node_peak_bytes_.push_back(mem_node_peak->GaugeAt({label}));
-    mem_job_bytes_.push_back(mem_job->GaugeAt({label}));
-    mem_job_peak_bytes_.push_back(mem_job_peak->GaugeAt({label}));
+    running_maps_.push_back(family(kMetricRunningMaps)->GaugeAt({label}));
+    running_reduces_.push_back(family(kMetricRunningReduces)->GaugeAt({label}));
+    mem_node_bytes_.push_back(family(kMetricMemNodeBytes)->GaugeAt({label}));
+    mem_node_peak_bytes_.push_back(
+        family(kMetricMemNodePeakBytes)->GaugeAt({label}));
+    mem_job_bytes_.push_back(family(kMetricMemJobBytes)->GaugeAt({label}));
+    mem_job_peak_bytes_.push_back(
+        family(kMetricMemJobPeakBytes)->GaugeAt({label}));
   }
-  queued_maps_ =
-      registry
-          ->GaugeFamily(kMetricQueuedMaps,
-                        "Map attempts queued and not yet claimed by a tracker")
-          ->GaugeAt();
-  queued_reduces_ =
-      registry
-          ->GaugeFamily(
-              kMetricQueuedReduces,
-              "Reduce attempts queued and not yet claimed by a tracker")
-          ->GaugeAt();
-  attempts_finished_ = registry->CounterFamily(
-      kMetricAttemptsFinished, "Task attempts finished by kind and outcome",
-      {"kind", "outcome"});
-  obs::MetricFamily* duration = registry->HistogramFamily(
-      kMetricAttemptDuration, "Task attempt wall time in microseconds",
-      {"kind"});
-  map_duration_ = duration->HistogramAt({"map"});
-  reduce_duration_ = duration->HistogramAt({"reduce"});
-  shuffle_runs_published_ =
-      registry
-          ->CounterFamily(kMetricShuffleRunsPublished,
-                          "Sorted shuffle runs published by map attempts")
-          ->CounterAt();
-  shuffle_runs_fetched_ =
-      registry
-          ->CounterFamily(kMetricShuffleRunsFetched,
-                          "Shuffle runs fetched by reduce attempts")
-          ->CounterAt();
-  shuffle_bytes_inflight_ =
-      registry
-          ->GaugeFamily(kMetricShuffleBytesInflight,
-                        "Shuffle bytes published but not yet fetched")
-          ->GaugeAt();
-  stragglers_running_ =
-      registry
-          ->GaugeFamily(kMetricStragglersRunning,
-                        "Running attempts currently flagged as stragglers")
-          ->GaugeAt();
-  stragglers_total_ =
-      registry
-          ->CounterFamily(kMetricStragglersTotal,
-                          "Attempts ever flagged as stragglers")
-          ->CounterAt();
-  jobs_running_ =
-      registry->GaugeFamily(kMetricJobsRunning, "Jobs currently executing")
-          ->GaugeAt();
-  cache_bytes_ =
-      registry
-          ->GaugeFamily(kMetricCacheBytes,
-                        "Resident bytes in the cross-query dim-table cache")
-          ->GaugeAt();
-  cache_entries_ =
-      registry
-          ->GaugeFamily(kMetricCacheEntries,
-                        "Resident entries in the cross-query dim-table cache")
-          ->GaugeAt();
+  queued_maps_ = family(kMetricQueuedMaps)->GaugeAt();
+  queued_reduces_ = family(kMetricQueuedReduces)->GaugeAt();
+  attempts_finished_ = family(kMetricAttemptsFinished);
+  map_duration_ = family(kMetricAttemptDuration)->HistogramAt({"map"});
+  reduce_duration_ = family(kMetricAttemptDuration)->HistogramAt({"reduce"});
+  shuffle_runs_published_ = family(kMetricShuffleRunsPublished)->CounterAt();
+  shuffle_runs_fetched_ = family(kMetricShuffleRunsFetched)->CounterAt();
+  shuffle_bytes_inflight_ = family(kMetricShuffleBytesInflight)->GaugeAt();
+  stragglers_running_ = family(kMetricStragglersRunning)->GaugeAt();
+  stragglers_total_ = family(kMetricStragglersTotal)->CounterAt();
+  jobs_running_ = family(kMetricJobsRunning)->GaugeAt();
+  cache_bytes_ = family(kMetricCacheBytes)->GaugeAt();
+  cache_entries_ = family(kMetricCacheEntries)->GaugeAt();
 }
 
 obs::Counter* ClusterMetrics::attempts_finished(bool is_map,

@@ -26,45 +26,72 @@ inline constexpr const char kConfMemTrackingEnabled[] = "obs.mem.enabled";
 /// (bytes), consulted by admission control against JobConf::mem_budget_bytes.
 inline constexpr const char kConfMemEstimateBytes[] = "obs.mem.estimate_bytes";
 
-// Metric family names (the mapreduce layer's exposition contract — what the
-// Hadoop JobTracker UI would scrape). scripts/check_counters.sh and the
-// audit test keep this list in sync with StandardMetricFamilyNames().
-inline constexpr const char kMetricRunningMaps[] = "mr_running_map_tasks";
-inline constexpr const char kMetricRunningReduces[] = "mr_running_reduce_tasks";
-inline constexpr const char kMetricQueuedMaps[] = "mr_queued_map_attempts";
-inline constexpr const char kMetricQueuedReduces[] = "mr_queued_reduce_attempts";
-inline constexpr const char kMetricAttemptsFinished[] =
-    "mr_task_attempts_finished_total";
-inline constexpr const char kMetricAttemptDuration[] =
-    "mr_task_attempt_duration_micros";
-inline constexpr const char kMetricShuffleRunsPublished[] =
-    "mr_shuffle_runs_published_total";
-inline constexpr const char kMetricShuffleRunsFetched[] =
-    "mr_shuffle_runs_fetched_total";
-inline constexpr const char kMetricShuffleBytesInflight[] =
-    "mr_shuffle_bytes_inflight";
-inline constexpr const char kMetricStragglersRunning[] =
-    "mr_straggler_attempts_running";
-inline constexpr const char kMetricStragglersTotal[] =
-    "mr_straggler_attempts_total";
-inline constexpr const char kMetricJobsRunning[] = "mr_jobs_running";
-// MemTracker tree exposition, labeled {node="N"}: current and high-water
-// tracked bytes per node, and the same aggregated over every job tracker
-// currently parented under that node. Sampled by the MetricsPoller.
-inline constexpr const char kMetricMemNodeBytes[] = "cly_mem_node_bytes";
-inline constexpr const char kMetricMemNodePeakBytes[] =
-    "cly_mem_node_peak_bytes";
-inline constexpr const char kMetricMemJobBytes[] = "cly_mem_job_bytes";
-inline constexpr const char kMetricMemJobPeakBytes[] =
-    "cly_mem_job_peak_bytes";
-// Serving-mode cross-query dim-table cache footprint (resident bytes and
-// entry count), sampled by the MetricsPoller through MrCluster's cache
-// stats probe. Zero unless a query server is attached.
-inline constexpr const char kMetricCacheBytes[] = "cly_cache_bytes";
-inline constexpr const char kMetricCacheEntries[] = "cly_cache_entries";
+/// Which subsystem a metric family describes.
+enum class MetricGroup {
+  kExecutor,  ///< slots, queues, attempts, shuffle, stragglers, jobs
+  kMem,       ///< MemTracker tree, labeled {node="N"}, poller-sampled
+  kCache,     ///< serving-mode dim-table cache, poller-sampled
+};
 
-/// Every kMetric* family name above, for the sync audit.
+// Every metric family the mapreduce layer exposes (what the Hadoop
+// JobTracker UI would scrape), declared once: X(constant, exposed name,
+// group, kind, comma-separated label keys, help). The kMetric* constants,
+// StandardMetricFamilyNames() and the ClusterMetrics registrations all
+// expand from this table.
+//
+// kMem: current and high-water tracked bytes per node, and the same summed
+// over every job tracker currently parented under that node. kCache: the
+// cross-query dim-table cache's resident bytes and entry count, sampled
+// through MrCluster's cache stats probe; zero unless a query server is
+// attached.
+#define CLY_MR_METRIC_FAMILIES(X)                                             \
+  X(kMetricRunningMaps, "mr_running_map_tasks", kExecutor, kGauge, "node",    \
+    "Map task attempts running on each node")                                 \
+  X(kMetricRunningReduces, "mr_running_reduce_tasks", kExecutor, kGauge,      \
+    "node", "Reduce task attempts running on each node")                      \
+  X(kMetricQueuedMaps, "mr_queued_map_attempts", kExecutor, kGauge, "",       \
+    "Map attempts queued and not yet claimed by a tracker")                   \
+  X(kMetricQueuedReduces, "mr_queued_reduce_attempts", kExecutor, kGauge, "", \
+    "Reduce attempts queued and not yet claimed by a tracker")                \
+  X(kMetricAttemptsFinished, "mr_task_attempts_finished_total", kExecutor,    \
+    kCounter, "kind,outcome", "Task attempts finished by kind and outcome")   \
+  X(kMetricAttemptDuration, "mr_task_attempt_duration_micros", kExecutor,     \
+    kHistogram, "kind", "Task attempt wall time in microseconds")             \
+  X(kMetricShuffleRunsPublished, "mr_shuffle_runs_published_total",           \
+    kExecutor, kCounter, "", "Sorted shuffle runs published by map attempts") \
+  X(kMetricShuffleRunsFetched, "mr_shuffle_runs_fetched_total", kExecutor,    \
+    kCounter, "", "Shuffle runs fetched by reduce attempts")                  \
+  X(kMetricShuffleBytesInflight, "mr_shuffle_bytes_inflight", kExecutor,      \
+    kGauge, "", "Shuffle bytes published but not yet fetched")                \
+  X(kMetricStragglersRunning, "mr_straggler_attempts_running", kExecutor,     \
+    kGauge, "", "Running attempts currently flagged as stragglers")           \
+  X(kMetricStragglersTotal, "mr_straggler_attempts_total", kExecutor,         \
+    kCounter, "", "Attempts ever flagged as stragglers")                      \
+  X(kMetricJobsRunning, "mr_jobs_running", kExecutor, kGauge, "",             \
+    "Jobs currently executing")                                               \
+  X(kMetricMemNodeBytes, "cly_mem_node_bytes", kMem, kGauge, "node",          \
+    "Tracked memory bytes resident on each node")                             \
+  X(kMetricMemNodePeakBytes, "cly_mem_node_peak_bytes", kMem, kGauge, "node", \
+    "High-water tracked memory bytes on each node")                           \
+  X(kMetricMemJobBytes, "cly_mem_job_bytes", kMem, kGauge, "node",            \
+    "Tracked memory bytes of running jobs on each node")                      \
+  X(kMetricMemJobPeakBytes, "cly_mem_job_peak_bytes", kMem, kGauge, "node",   \
+    "High-water tracked memory bytes of jobs on each node")                   \
+  X(kMetricCacheBytes, "cly_cache_bytes", kCache, kGauge, "",                 \
+    "Resident bytes in the cross-query dim-table cache")                      \
+  X(kMetricCacheEntries, "cly_cache_entries", kCache, kGauge, "",             \
+    "Resident entries in the cross-query dim-table cache")
+
+#define CLY_DECLARE_METRIC_FAMILY(id, name, group, kind, labels, help) \
+  inline constexpr const char id[] = name;
+CLY_MR_METRIC_FAMILIES(CLY_DECLARE_METRIC_FAMILY)
+#undef CLY_DECLARE_METRIC_FAMILY
+
+/// Every metric family name above, in table order.
 std::vector<std::string> StandardMetricFamilyNames();
+
+/// The metric families of `group`, in table order.
+std::vector<std::string> MetricFamilyNames(MetricGroup group);
 
 /// Pre-resolved handles into a MetricsRegistry for the executor hot path:
 /// one atomic cell per gauge/counter so claims and finishes never touch the

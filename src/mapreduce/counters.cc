@@ -10,44 +10,26 @@
 namespace clydesdale {
 namespace mr {
 
+std::vector<std::string> CounterNames(CounterGroup group) {
+  std::vector<std::string> names;
+#define CLY_LIST_COUNTER(id, name, row_group) \
+  if (CounterGroup::row_group == group) names.push_back(id);
+  CLY_MR_COUNTERS(CLY_LIST_COUNTER)
+#undef CLY_LIST_COUNTER
+  return names;
+}
+
 std::vector<std::string> StandardCounterNames() {
-  return {
-      kCounterHdfsBytesReadLocal,  kCounterHdfsBytesReadRemote,
-      kCounterHdfsBytesWritten,    kCounterLocalBytesRead,
-      kCounterMapInputRecords,     kCounterMapOutputRecords,
-      kCounterMapOutputBytes,      kCounterCombineInputRecords,
-      kCounterCombineOutputRecords, kCounterReduceInputRecords,
-      kCounterReduceInputGroups,   kCounterReduceOutputRecords,
-      kCounterShuffleBytes,        kCounterShuffleBytesRemote,
-      kCounterDataLocalMaps,       kCounterRackRemoteMaps,
-      kCounterDistCacheBytes,      kCounterHdfsReadOps,
-      kCounterHdfsReadMicros,      kCounterSchedPulls,
-  };
+  return CounterNames(CounterGroup::kStandard);
 }
 
 std::vector<std::string> SituationalCounterNames() {
-  return {
-      kCounterStragglerAttempts,
-      kCounterCifBlocksSkipped,
-      kCounterCifRowsPruned,
-      kCounterCifBytesEncoded,
-      kCounterCifBytesRaw,
-      kCounterCifBlocksPlain,
-      kCounterCifBlocksRle,
-      kCounterCifBlocksBitpack,
-      kCounterCifBlocksFor,
-      kCounterCifBlocksDict,
-      kCounterCifBlocksDictRle,
-      kCounterProfOperators,
-      kCounterProfTasksProfiled,
-      kCounterMemJobPeakBytes,
-      kCounterMemNodePeakBytes,
-      kCounterMemBudgetBytes,
-      kCounterCacheDimHits,
-      kCounterCacheDimMisses,
-      kCounterCacheDimEvictions,
-      kCounterCacheBytes,
-  };
+  std::vector<std::string> names;
+#define CLY_LIST_SITUATIONAL(id, name, group) \
+  if (CounterGroup::group != CounterGroup::kStandard) names.push_back(id);
+  CLY_MR_COUNTERS(CLY_LIST_SITUATIONAL)
+#undef CLY_LIST_SITUATIONAL
+  return names;
 }
 
 void Counters::Add(const std::string& name, int64_t delta) {

@@ -13,74 +13,91 @@
 namespace clydesdale {
 namespace mr {
 
-// Standard counter names (engine-maintained). Engines add their own.
-inline constexpr const char kCounterHdfsBytesReadLocal[] = "HDFS_BYTES_READ_LOCAL";
-inline constexpr const char kCounterHdfsBytesReadRemote[] = "HDFS_BYTES_READ_REMOTE";
-inline constexpr const char kCounterHdfsBytesWritten[] = "HDFS_BYTES_WRITTEN";
-inline constexpr const char kCounterLocalBytesRead[] = "LOCAL_DISK_BYTES_READ";
-inline constexpr const char kCounterMapInputRecords[] = "MAP_INPUT_RECORDS";
-inline constexpr const char kCounterMapOutputRecords[] = "MAP_OUTPUT_RECORDS";
-inline constexpr const char kCounterMapOutputBytes[] = "MAP_OUTPUT_BYTES";
-inline constexpr const char kCounterCombineInputRecords[] = "COMBINE_INPUT_RECORDS";
-inline constexpr const char kCounterCombineOutputRecords[] = "COMBINE_OUTPUT_RECORDS";
-inline constexpr const char kCounterReduceInputRecords[] = "REDUCE_INPUT_RECORDS";
-inline constexpr const char kCounterReduceInputGroups[] = "REDUCE_INPUT_GROUPS";
-inline constexpr const char kCounterReduceOutputRecords[] = "REDUCE_OUTPUT_RECORDS";
-inline constexpr const char kCounterShuffleBytes[] = "SHUFFLE_BYTES";
-inline constexpr const char kCounterShuffleBytesRemote[] = "SHUFFLE_BYTES_REMOTE";
-inline constexpr const char kCounterDataLocalMaps[] = "DATA_LOCAL_MAPS";
-inline constexpr const char kCounterRackRemoteMaps[] = "RACK_REMOTE_MAPS";
-inline constexpr const char kCounterDistCacheBytes[] = "DISTRIBUTED_CACHE_BYTES";
-inline constexpr const char kCounterHdfsReadOps[] = "HDFS_READ_OPS";
-inline constexpr const char kCounterHdfsReadMicros[] = "HDFS_READ_MICROS";
-inline constexpr const char kCounterSchedPulls[] = "SCHED_PULLS";
-inline constexpr const char kCounterStragglerAttempts[] = "STRAGGLER_ATTEMPTS";
-// Late-materialization CIF scan: column blocks skipped whole via zone maps,
-// and rows pruned by pushed-down predicates/key filters before decode.
-inline constexpr const char kCounterCifBlocksSkipped[] = "CIF_BLOCKS_SKIPPED";
-inline constexpr const char kCounterCifRowsPruned[] = "CIF_ROWS_PRUNED";
-// CIF compressed-scan accounting: on-disk vs plain-equivalent bytes of
-// the column blocks a scan actually loaded (their ratio is the observed
-// compression), plus loaded-block counts per encoding tag.
-inline constexpr const char kCounterCifBytesEncoded[] = "CIF_BYTES_ENCODED";
-inline constexpr const char kCounterCifBytesRaw[] = "CIF_BYTES_RAW";
-inline constexpr const char kCounterCifBlocksPlain[] = "CIF_BLOCKS_PLAIN";
-inline constexpr const char kCounterCifBlocksRle[] = "CIF_BLOCKS_RLE";
-inline constexpr const char kCounterCifBlocksBitpack[] = "CIF_BLOCKS_BITPACK";
-inline constexpr const char kCounterCifBlocksFor[] = "CIF_BLOCKS_FOR";
-inline constexpr const char kCounterCifBlocksDict[] = "CIF_BLOCKS_DICT";
-inline constexpr const char kCounterCifBlocksDictRle[] = "CIF_BLOCKS_DICT_RLE";
-// Per-operator profiler (obs.profile.enabled runs only): merged operator
-// nodes in the job's QueryProfile and task attempts that contributed.
-inline constexpr const char kCounterProfOperators[] = "PROF_OPERATORS";
-inline constexpr const char kCounterProfTasksProfiled[] =
-    "PROF_TASKS_PROFILED";
-// Hierarchical memory accounting (obs.mem.enabled runs only): the job's
-// high-water tracked bytes summed across its per-node trackers, the highest
-// single-node high-water mark, and the configured budget (set only when
-// JobConf::mem_budget_bytes > 0).
-inline constexpr const char kCounterMemJobPeakBytes[] = "MEM_JOB_PEAK_BYTES";
-inline constexpr const char kCounterMemNodePeakBytes[] = "MEM_NODE_PEAK_BYTES";
-inline constexpr const char kCounterMemBudgetBytes[] = "MEM_BUDGET_BYTES";
-// Serving-mode cross-query dim-table cache (core/dim_table_cache.h; only
-// queries running with a ClydesdaleOptions::dim_cache carry these):
-// per-dimension lookups served from a resident or in-flight entry vs builds
-// paid, entries evicted while the query ran, and the cache's resident bytes
-// when the query flushed (Set, not summed).
-inline constexpr const char kCounterCacheDimHits[] = "CACHE_DIM_HITS";
-inline constexpr const char kCounterCacheDimMisses[] = "CACHE_DIM_MISSES";
-inline constexpr const char kCounterCacheDimEvictions[] =
-    "CACHE_DIM_EVICTIONS";
-inline constexpr const char kCounterCacheBytes[] = "CACHE_BYTES";
+/// Which part of the engine populates a counter. kStandard counters are set
+/// by every suitably shaped job (MapReduceTest.StandardCountersAllPopulated
+/// asserts it); every other group is situational and is populated by exactly
+/// one flush helper below, which MetricNamesTest checks name by name.
+enum class CounterGroup {
+  kStandard,
+  kStraggler,  ///< online straggler detector; needs a slow task
+  kCifScan,    ///< AddCifScanCounters
+  kProfile,    ///< AddQueryProfileCounters (obs.profile.enabled runs)
+  kMem,        ///< AddMemTrackerCounters (obs.mem.enabled runs)
+  kDimCache,   ///< AddDimCacheCounters (serving-mode dim-table cache)
+};
 
-/// Every engine-maintained counter name above, for audits asserting that a
-/// suitably shaped job populates all of them (tests/mapreduce_test.cc).
+// Every engine-maintained counter, declared once: X(constant, exposed name,
+// group). The kCounter* constants, StandardCounterNames(),
+// SituationalCounterNames() and CounterNames() all expand from this table.
+// Engines add their own tables (core/star_join_job.h).
+//
+// kCifScan: zone-map-skipped column blocks and rows pruned by pushed-down
+// predicates/key filters before decode; on-disk vs plain-equivalent bytes of
+// the blocks a scan loaded (their ratio is the observed compression); loaded
+// blocks per storage/column_codec.h encoding tag.
+// kProfile: merged operator nodes in the job's QueryProfile and the task
+// attempts that contributed.
+// kMem: the job's high-water tracked bytes summed across its per-node
+// trackers, the highest single-node high-water mark, and the configured
+// budget (set only when JobConf::mem_budget_bytes > 0).
+// kDimCache: per-dimension lookups served from a resident or in-flight
+// entry vs builds paid, entries evicted while the query ran, and the cache's
+// resident bytes when the query flushed (Set, not summed).
+#define CLY_MR_COUNTERS(X)                                                  \
+  X(kCounterHdfsBytesReadLocal, "HDFS_BYTES_READ_LOCAL", kStandard)         \
+  X(kCounterHdfsBytesReadRemote, "HDFS_BYTES_READ_REMOTE", kStandard)       \
+  X(kCounterHdfsBytesWritten, "HDFS_BYTES_WRITTEN", kStandard)              \
+  X(kCounterLocalBytesRead, "LOCAL_DISK_BYTES_READ", kStandard)             \
+  X(kCounterMapInputRecords, "MAP_INPUT_RECORDS", kStandard)                \
+  X(kCounterMapOutputRecords, "MAP_OUTPUT_RECORDS", kStandard)              \
+  X(kCounterMapOutputBytes, "MAP_OUTPUT_BYTES", kStandard)                  \
+  X(kCounterCombineInputRecords, "COMBINE_INPUT_RECORDS", kStandard)        \
+  X(kCounterCombineOutputRecords, "COMBINE_OUTPUT_RECORDS", kStandard)      \
+  X(kCounterReduceInputRecords, "REDUCE_INPUT_RECORDS", kStandard)          \
+  X(kCounterReduceInputGroups, "REDUCE_INPUT_GROUPS", kStandard)            \
+  X(kCounterReduceOutputRecords, "REDUCE_OUTPUT_RECORDS", kStandard)        \
+  X(kCounterShuffleBytes, "SHUFFLE_BYTES", kStandard)                       \
+  X(kCounterShuffleBytesRemote, "SHUFFLE_BYTES_REMOTE", kStandard)          \
+  X(kCounterDataLocalMaps, "DATA_LOCAL_MAPS", kStandard)                    \
+  X(kCounterRackRemoteMaps, "RACK_REMOTE_MAPS", kStandard)                  \
+  X(kCounterDistCacheBytes, "DISTRIBUTED_CACHE_BYTES", kStandard)           \
+  X(kCounterHdfsReadOps, "HDFS_READ_OPS", kStandard)                        \
+  X(kCounterHdfsReadMicros, "HDFS_READ_MICROS", kStandard)                  \
+  X(kCounterSchedPulls, "SCHED_PULLS", kStandard)                           \
+  X(kCounterStragglerAttempts, "STRAGGLER_ATTEMPTS", kStraggler)            \
+  X(kCounterCifBlocksSkipped, "CIF_BLOCKS_SKIPPED", kCifScan)               \
+  X(kCounterCifRowsPruned, "CIF_ROWS_PRUNED", kCifScan)                     \
+  X(kCounterCifBytesEncoded, "CIF_BYTES_ENCODED", kCifScan)                 \
+  X(kCounterCifBytesRaw, "CIF_BYTES_RAW", kCifScan)                         \
+  X(kCounterCifBlocksPlain, "CIF_BLOCKS_PLAIN", kCifScan)                   \
+  X(kCounterCifBlocksRle, "CIF_BLOCKS_RLE", kCifScan)                       \
+  X(kCounterCifBlocksBitpack, "CIF_BLOCKS_BITPACK", kCifScan)               \
+  X(kCounterCifBlocksFor, "CIF_BLOCKS_FOR", kCifScan)                       \
+  X(kCounterCifBlocksDict, "CIF_BLOCKS_DICT", kCifScan)                     \
+  X(kCounterCifBlocksDictRle, "CIF_BLOCKS_DICT_RLE", kCifScan)              \
+  X(kCounterProfOperators, "PROF_OPERATORS", kProfile)                      \
+  X(kCounterProfTasksProfiled, "PROF_TASKS_PROFILED", kProfile)             \
+  X(kCounterMemJobPeakBytes, "MEM_JOB_PEAK_BYTES", kMem)                    \
+  X(kCounterMemNodePeakBytes, "MEM_NODE_PEAK_BYTES", kMem)                  \
+  X(kCounterMemBudgetBytes, "MEM_BUDGET_BYTES", kMem)                       \
+  X(kCounterCacheDimHits, "CACHE_DIM_HITS", kDimCache)                      \
+  X(kCounterCacheDimMisses, "CACHE_DIM_MISSES", kDimCache)                  \
+  X(kCounterCacheDimEvictions, "CACHE_DIM_EVICTIONS", kDimCache)            \
+  X(kCounterCacheBytes, "CACHE_BYTES", kDimCache)
+
+#define CLY_DECLARE_COUNTER(id, name, group) \
+  inline constexpr const char id[] = name;
+CLY_MR_COUNTERS(CLY_DECLARE_COUNTER)
+
+/// Every counter of `group`, in table order.
+std::vector<std::string> CounterNames(CounterGroup group);
+
+/// The kStandard counters: a suitably shaped job populates all of them.
 std::vector<std::string> StandardCounterNames();
 
-/// Engine-maintained counters that only fire in specific situations (e.g.
-/// STRAGGLER_ATTEMPTS needs a slow task), so the all-populated audit skips
-/// them. Standard + situational must cover every kCounter* above —
-/// scripts/check_counters.sh enforces it.
+/// Every other engine-maintained counter: each fires only in a specific
+/// situation (a slow task, a CIF scan, a profiled or tracked run, a serving
+/// cache), so the all-populated audit skips them.
 std::vector<std::string> SituationalCounterNames();
 
 /// Named monotonically increasing job statistics, Hadoop-style. Thread-safe.
@@ -164,9 +181,9 @@ void AddMemTrackerCounters(
     uint64_t budget_bytes, Counters* counters);
 
 /// Folds serving-mode dim-table cache activity into `counters` — the only
-/// place the CACHE_* counters are populated (scripts/check_counters.sh
-/// audit #7). Hits/misses/evictions are summed deltas; `resident_bytes` is
-/// the cache's current footprint and overwrites (Set) rather than sums.
+/// place the CACHE_* counters are populated. Hits/misses/evictions are
+/// summed deltas; `resident_bytes` is the cache's current footprint and
+/// overwrites (Set) rather than sums.
 /// Zero deltas and negative bytes are not recorded, so cache-less jobs carry
 /// no CACHE_* counters.
 void AddDimCacheCounters(int64_t hits, int64_t misses, int64_t evictions,

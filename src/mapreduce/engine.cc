@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -122,12 +123,12 @@ namespace {
 /// Copies every distributed-cache file from DFS onto every node's local
 /// disk, once per node per job (paper §6.1: Hive's mapjoin dissemination).
 Status DistributeCache(MrCluster* cluster, const JobConf& conf,
-                       Counters* counters) {
+                       int64_t instance, Counters* counters) {
   for (const std::string& dfs_path : conf.distributed_cache) {
     CLY_ASSIGN_OR_RETURN(std::string contents,
                          cluster->dfs()->ReadFileToString(dfs_path));
     const std::string local_path =
-        StrCat("/dcache/", conf.GetInt("mr.job.instance"), dfs_path);
+        StrCat("/dcache/", instance, dfs_path);
     std::vector<uint8_t> bytes(contents.begin(), contents.end());
     for (int n = 0; n < cluster->num_nodes(); ++n) {
       CLY_RETURN_IF_ERROR(
@@ -258,6 +259,23 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
     return Status::InvalidArgument(
         "job has reduce tasks but no reducer factory");
   }
+  // Numeric settings parse before any work, so a malformed value fails the
+  // job here rather than mid-run.
+  StragglerPolicy straggler_policy;
+  CLY_ASSIGN_OR_RETURN(
+      straggler_policy.threshold,
+      conf.GetDouble(kConfStragglerThreshold, straggler_policy.threshold));
+  CLY_ASSIGN_OR_RETURN(const int64_t straggler_min_completed,
+                       conf.GetInt(kConfStragglerMinCompleted,
+                                   straggler_policy.min_completed));
+  if (straggler_min_completed > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(StrCat("conf key '", kConfStragglerMinCompleted,
+                                          "' = ", straggler_min_completed,
+                                          " is out of range"));
+  }
+  straggler_policy.min_completed = static_cast<int>(straggler_min_completed);
+  CLY_ASSIGN_OR_RETURN(const int64_t metrics_interval_ms,
+                       conf.GetInt(kConfMetricsIntervalMs, 5));
 
   // Admission control: reject a job whose estimated dimension hash-table
   // footprint (engine-computed, typically from table statistics) already
@@ -265,7 +283,8 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
   // A breach discovered only at runtime still fails via the MemTracker's
   // TryConsume on the job's per-node trackers.
   if (conf.mem_budget_bytes > 0) {
-    const int64_t estimate = conf.GetInt(kConfMemEstimateBytes, 0);
+    CLY_ASSIGN_OR_RETURN(const int64_t estimate,
+                         conf.GetInt(kConfMemEstimateBytes, 0));
     if (estimate > static_cast<int64_t>(conf.mem_budget_bytes)) {
       return Status::ResourceExhausted(StrCat(
           "job '", conf.job_name, "' rejected at admission: estimated ",
@@ -296,7 +315,7 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
   std::unique_ptr<InputFormat> input_format = conf.input_format_factory();
   std::unique_ptr<OutputFormat> output_format = conf.output_format_factory();
   CLY_RETURN_IF_ERROR(output_format->Open(cluster, conf));
-  CLY_RETURN_IF_ERROR(DistributeCache(cluster, conf, &report.counters));
+  CLY_RETURN_IF_ERROR(DistributeCache(cluster, conf, instance, &report.counters));
 
   CLY_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<InputSplit>> splits,
                        input_format->GetSplits(cluster, conf));
@@ -313,17 +332,17 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
   // unwinding after the job completes. Construction (attempt table,
   // scheduling policy) is still setup time.
   auto runner = std::make_shared<JobRunner>(
-      cluster, &conf, instance, std::move(splits), input_format.get(),
-      output_format.get(), &report, trace, metrics, history);
+      cluster, &conf, instance, straggler_policy, std::move(splits),
+      input_format.get(), output_format.get(), &report, trace, metrics,
+      history);
   // The poller samples the whole registry on its interval and sweeps the
   // runner's straggler probe first each tick. Declared after `runner` and
   // holding its own shared_ptr, so an early error return tears it down
   // (join) while the runner is still alive.
   std::unique_ptr<obs::MetricsPoller> poller;
   if (metrics != nullptr) {
-    poller = std::make_unique<obs::MetricsPoller>(
-        cluster->metrics_registry(),
-        conf.GetInt(kConfMetricsIntervalMs, 5));
+    poller = std::make_unique<obs::MetricsPoller>(cluster->metrics_registry(),
+                                                  metrics_interval_ms);
     poller->AddProbe([runner, cluster, metrics] {
       runner->PollLiveMetrics();
       // Sample the MemTracker tree into the labeled gauge families: node
@@ -440,6 +459,17 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 }
 
 }  // namespace
+
+void ApplyObsOptions(const ObsOptions& obs, JobConf* conf) {
+  if (obs.trace) conf->SetBool(kConfTraceEnabled, true);
+  if (!obs.trace_dir.empty()) conf->Set(kConfTraceDir, obs.trace_dir);
+  if (obs.metrics) {
+    conf->SetBool(kConfMetricsEnabled, true);
+    conf->SetInt(kConfMetricsIntervalMs, obs.metrics_interval_ms);
+  }
+  if (obs.history) conf->SetBool(kConfHistoryEnabled, true);
+  if (obs.profile) conf->SetBool(kConfProfileEnabled, true);
+}
 
 Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
   JobConf conf = user_conf;

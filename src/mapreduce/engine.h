@@ -149,6 +149,34 @@ struct JobResult {
 /// and job-scratch GC (shuffle runs + dcache files) on every exit path.
 Result<JobResult> RunJob(MrCluster* cluster, const JobConf& conf);
 
+/// The observability switches an engine forwards into every stage job it
+/// runs (ClydesdaleOptions::obs, HiveOptions::obs), so traces, metrics and
+/// profiles of different engines and plans stay comparable. Counters and
+/// histograms are always maintained; these gate the rest.
+struct ObsOptions {
+  /// Span tracing (obs.trace.enabled).
+  bool trace = false;
+  /// When tracing, write <job>-<instance>.trace.json/.timeline.txt into
+  /// this directory (obs.trace.dir). Empty = keep spans in memory only.
+  std::string trace_dir;
+  /// Live cluster metrics + online straggler detection
+  /// (obs.metrics.enabled): the MetricsPoller samples the registry every
+  /// `metrics_interval_ms` and, when trace_dir is set, RunJob writes
+  /// .prom/.metrics.json/.dashboard.txt artifacts next to the trace.
+  bool metrics = false;
+  int64_t metrics_interval_ms = 5;
+  /// Structured JSONL job-history log (obs.history.enabled), persisted to
+  /// node 0's LocalStore and (with trace_dir) as <job>-<n>.history.jsonl.
+  bool history = false;
+  /// Per-operator query profiler (obs.profile.enabled): operator nodes
+  /// accumulated per task attempt, merged into JobReport::profile and
+  /// rendered as EXPLAIN ANALYZE. Off = zero instrumentation overhead.
+  bool profile = false;
+};
+
+/// Writes the switches that are on into `conf`.
+void ApplyObsOptions(const ObsOptions& obs, JobConf* conf);
+
 }  // namespace mr
 }  // namespace clydesdale
 

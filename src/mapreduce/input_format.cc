@@ -170,7 +170,7 @@ Result<std::vector<std::shared_ptr<InputSplit>>> MultiCifInputFormat::GetSplits(
         s.preferred_nodes.empty() ? hdfs::kNoNode : s.preferred_nodes[0];
     buckets[home].push_back(std::move(s));
   }
-  const int64_t pack = conf.GetInt(kConfMultiSplitSize, 0);
+  CLY_ASSIGN_OR_RETURN(const int64_t pack, conf.GetInt(kConfMultiSplitSize, 0));
   std::vector<std::shared_ptr<InputSplit>> out;
   for (auto& [node, bucket] : buckets) {
     const size_t group = pack <= 0 ? bucket.size() : static_cast<size_t>(pack);

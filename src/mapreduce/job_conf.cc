@@ -1,5 +1,8 @@
 #include "mapreduce/job_conf.h"
 
+#include <charconv>
+#include <system_error>
+
 #include "common/strings.h"
 
 namespace clydesdale {
@@ -22,10 +25,28 @@ std::string JobConf::Get(const std::string& key, const std::string& def) const {
   return it == conf_.end() ? def : it->second;
 }
 
-int64_t JobConf::GetInt(const std::string& key, int64_t def) const {
+namespace {
+
+/// Parses all of `value` as a T; InvalidArgument naming `key` otherwise.
+template <typename T>
+Result<T> ParseNumber(const std::string& key, const std::string& value,
+                      const char* type) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(StrCat("conf key '", key, "' = '", value,
+                                          "' is not ", type));
+  }
+  return parsed;
+}
+
+}  // namespace
+
+Result<int64_t> JobConf::GetInt(const std::string& key, int64_t def) const {
   auto it = conf_.find(key);
   if (it == conf_.end() || it->second.empty()) return def;
-  return std::stoll(it->second);
+  return ParseNumber<int64_t>(key, it->second, "a 64-bit integer");
 }
 
 bool JobConf::GetBool(const std::string& key, bool def) const {
@@ -34,10 +55,10 @@ bool JobConf::GetBool(const std::string& key, bool def) const {
   return it->second == "true" || it->second == "1";
 }
 
-double JobConf::GetDouble(const std::string& key, double def) const {
+Result<double> JobConf::GetDouble(const std::string& key, double def) const {
   auto it = conf_.find(key);
   if (it == conf_.end() || it->second.empty()) return def;
-  return std::stod(it->second);
+  return ParseNumber<double>(key, it->second, "a number");
 }
 
 std::vector<std::string> JobConf::GetList(const std::string& key) const {

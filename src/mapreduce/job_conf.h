@@ -37,9 +37,14 @@ class JobConf {
   void SetBool(const std::string& key, bool value);
   void SetDouble(const std::string& key, double value);
   std::string Get(const std::string& key, const std::string& def = "") const;
-  int64_t GetInt(const std::string& key, int64_t def = 0) const;
+  /// Numeric reads return `def` for an unset or empty key, and
+  /// InvalidArgument naming the key when the value is not entirely a number
+  /// of the type (trailing bytes, out of range). RunJob reads the numeric
+  /// keys of its own components during setup, so a malformed value fails
+  /// the job before any task starts.
+  Result<int64_t> GetInt(const std::string& key, int64_t def = 0) const;
   bool GetBool(const std::string& key, bool def = false) const;
-  double GetDouble(const std::string& key, double def = 0) const;
+  Result<double> GetDouble(const std::string& key, double def = 0) const;
   /// Comma-separated list property.
   std::vector<std::string> GetList(const std::string& key) const;
   void SetList(const std::string& key, const std::vector<std::string>& items);

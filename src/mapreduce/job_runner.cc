@@ -31,6 +31,7 @@ std::string ShuffleRunPath(int64_t instance, int map_task, int partition) {
 }  // namespace
 
 JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
+                     StragglerPolicy straggler_policy,
                      std::vector<std::shared_ptr<InputSplit>> splits,
                      InputFormat* input_format, OutputFormat* output_format,
                      JobReport* report, obs::TraceRecorder* trace,
@@ -55,14 +56,7 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
                         : 1),
       shuffle_(std::max(num_reduces_, 1), metrics),
       direct_out_(output_format),
-      straggler_([conf] {
-        StragglerPolicy policy;
-        policy.threshold =
-            conf->GetDouble(kConfStragglerThreshold, policy.threshold);
-        policy.min_completed = static_cast<int>(
-            conf->GetInt(kConfStragglerMinCompleted, policy.min_completed));
-        return policy;
-      }()),
+      straggler_(straggler_policy),
       policy_(splits_, cluster->num_nodes()),
       running_maps_(static_cast<size_t>(cluster->num_nodes()), 0),
       maps_unfinished_(static_cast<int>(splits_.size())),

@@ -65,6 +65,7 @@ class JobRunner {
   /// `history` (optional) receives every attempt state transition. Both may
   /// be null independently of each other.
   JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
+            StragglerPolicy straggler_policy,
             std::vector<std::shared_ptr<InputSplit>> splits,
             InputFormat* input_format, OutputFormat* output_format,
             JobReport* report, obs::TraceRecorder* trace,

@@ -25,7 +25,8 @@ inline constexpr const char kHistReduceTaskMicros[] = "REDUCE_TASK_MICROS";
 inline constexpr const char kHistShuffleFetchBytes[] = "SHUFFLE_FETCH_BYTES";
 inline constexpr const char kHistShuffleFetchMicros[] = "SHUFFLE_FETCH_MICROS";
 inline constexpr const char kHistReduceGroupSize[] = "REDUCE_GROUP_SIZE";
-inline constexpr const char kHistHdfsReadMicros[] = "HDFS_READ_MICROS";
+/// Per-read latency distribution behind the HDFS_READ_MICROS counter.
+inline constexpr const auto& kHistHdfsReadMicros = kCounterHdfsReadMicros;
 
 /// The straggler chain of one job: the slowest map feeds the shuffle
 /// barrier, which gates the slowest reduce (the classic MapReduce

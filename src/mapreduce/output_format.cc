@@ -65,7 +65,11 @@ Status TableOutputFormat::Open(MrCluster*, const JobConf& conf) {
     return Status::InvalidArgument("output.table is not set");
   }
   // Validate the declaration early so misconfiguration fails before work.
-  return ParseColumnsDecl(conf.Get(kConfOutputColumns)).status();
+  CLY_RETURN_IF_ERROR(ParseColumnsDecl(conf.Get(kConfOutputColumns)).status());
+  CLY_ASSIGN_OR_RETURN(const int64_t rows_per_split,
+                       conf.GetInt("output.rows_per_split", 64 * 1024));
+  rows_per_split_ = static_cast<uint64_t>(rows_per_split);
+  return Status::OK();
 }
 
 Status TableOutputFormat::Write(const Row& key, const Row& value) {
@@ -83,8 +87,7 @@ Status TableOutputFormat::Commit(MrCluster* cluster, const JobConf& conf) {
   desc.path = conf.Get(kConfOutputTable);
   desc.format = conf.Get(kConfOutputFormat, storage::kFormatBinaryRow);
   desc.schema = schema;
-  desc.rows_per_split = static_cast<uint64_t>(
-      conf.GetInt("output.rows_per_split", 64 * 1024));
+  desc.rows_per_split = rows_per_split_;
 
   std::vector<Row> rows;
   {

@@ -71,6 +71,7 @@ class TableOutputFormat final : public OutputFormat {
  private:
   std::mutex mu_;
   std::vector<Row> rows_;  // buffered; written sequentially at Commit
+  uint64_t rows_per_split_ = 0;  // output.rows_per_split, read at Open
 };
 
 /// Parses a kConfOutputColumns declaration into a schema.

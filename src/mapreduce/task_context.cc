@@ -59,7 +59,9 @@ Result<std::string> TaskContext::CacheFilePath(
     if (registered == dfs_path) {
       // The engine materialized the file here during job setup (the instance
       // id keeps concurrent jobs with equal names apart).
-      return StrCat("/dcache/", conf_->GetInt("mr.job.instance"), dfs_path);
+      CLY_ASSIGN_OR_RETURN(const int64_t instance,
+                           conf_->GetInt("mr.job.instance"));
+      return StrCat("/dcache/", instance, dfs_path);
     }
   }
   return Status::NotFound(

@@ -71,8 +71,8 @@ class MemTracker final : public MemReporter {
 
 /// Canonical tracker names for the fixed levels of the tree. The per-node
 /// memory gauges (cluster_metrics.h kMetricMem*) sample trackers created
-/// with exactly these names; scripts/check_mem_gauges.sh asserts the two
-/// stay in sync.
+/// with exactly these names; MetricNamesTest asserts the cluster's trackers
+/// carry them.
 std::string NodeTrackerName(int node);
 std::string JobTrackerName(int64_t instance, int node);
 

@@ -188,9 +188,9 @@ void MetricFamily::AppendSamples(std::vector<MetricSampleRow>* out) const {
   }
 }
 
-MetricFamily* MetricsRegistry::FamilyLocked(
-    const std::string& name, const std::string& help, MetricKind kind,
-    std::vector<std::string> label_keys) {
+MetricFamily* MetricsRegistry::Family(const std::string& name,
+                                      const std::string& help, MetricKind kind,
+                                      std::vector<std::string> label_keys) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = families_[name];
   if (slot == nullptr) {
@@ -206,20 +206,19 @@ MetricFamily* MetricsRegistry::FamilyLocked(
 MetricFamily* MetricsRegistry::GaugeFamily(const std::string& name,
                                            const std::string& help,
                                            std::vector<std::string> label_keys) {
-  return FamilyLocked(name, help, MetricKind::kGauge, std::move(label_keys));
+  return Family(name, help, MetricKind::kGauge, std::move(label_keys));
 }
 
 MetricFamily* MetricsRegistry::CounterFamily(
     const std::string& name, const std::string& help,
     std::vector<std::string> label_keys) {
-  return FamilyLocked(name, help, MetricKind::kCounter, std::move(label_keys));
+  return Family(name, help, MetricKind::kCounter, std::move(label_keys));
 }
 
 MetricFamily* MetricsRegistry::HistogramFamily(
     const std::string& name, const std::string& help,
     std::vector<std::string> label_keys) {
-  return FamilyLocked(name, help, MetricKind::kHistogram,
-                      std::move(label_keys));
+  return Family(name, help, MetricKind::kHistogram, std::move(label_keys));
 }
 
 const MetricFamily* MetricsRegistry::Find(const std::string& name) const {

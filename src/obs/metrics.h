@@ -116,6 +116,11 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
+  /// Registers (or returns the existing) family `name`; the Gauge/Counter/
+  /// HistogramFamily helpers below fix `kind`.
+  MetricFamily* Family(const std::string& name, const std::string& help,
+                       MetricKind kind,
+                       std::vector<std::string> label_keys = {});
   MetricFamily* GaugeFamily(const std::string& name, const std::string& help,
                             std::vector<std::string> label_keys = {});
   MetricFamily* CounterFamily(const std::string& name, const std::string& help,
@@ -140,10 +145,6 @@ class MetricsRegistry {
   std::vector<MetricSampleRow> Samples() const;
 
  private:
-  MetricFamily* FamilyLocked(const std::string& name, const std::string& help,
-                             MetricKind kind,
-                             std::vector<std::string> label_keys);
-
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<MetricFamily>> families_;
 };

@@ -111,7 +111,7 @@ Result<core::QueryResult> QueryServer::Execute(
   // Surface the cache activity the build path can't see from inside a task:
   // evictions (which happen on *other* queries' inserts) as a once-each
   // delta, and the post-query resident footprint. Rides the standard flush
-  // helper so check_counters.sh audit #7 covers it.
+  // helper, the only writer of the CACHE_* counters.
   const int64_t evict_delta = cache_stats.evictions - evictions_flushed_;
   evictions_flushed_ = cache_stats.evictions;
   if (!result.stage_reports.empty()) {

@@ -201,6 +201,23 @@ TEST_F(EngineIntegrationTest, JvmReuseBuildsHashTablesOncePerNode) {
             static_cast<size_t>(cluster_->num_nodes()));
 }
 
+/// Counter audit for the star join, the CLY_* counterpart of
+/// MapReduceTest.StandardCountersAllPopulated: a default-options Q2.1 builds
+/// its tables, probes in blocks and aggregates map-side, so it populates
+/// every name core/star_join_job.h declares.
+TEST_F(EngineIntegrationTest, ClydesdaleCountersAllPopulated) {
+  auto spec = ssb::QueryById("Q2.1");
+  ASSERT_TRUE(spec.ok());
+  core::ClydesdaleEngine engine(cluster_, dataset_->star);
+  auto result = engine.Execute(*spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<std::string> names = core::ClydesdaleCounterNames();
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    EXPECT_GT(result->Counter(name), 0) << name;
+  }
+}
+
 TEST_F(EngineIntegrationTest, WithoutJvmReuseEveryTaskBuilds) {
   auto spec = ssb::QueryById("Q3.1");
   ASSERT_TRUE(spec.ok());
@@ -282,8 +299,8 @@ TEST_F(EngineIntegrationTest, TracedRunEmitsSpansTimelineAndCriticalPath) {
   std::filesystem::create_directories(trace_dir);
 
   core::ClydesdaleOptions options;
-  options.trace = true;
-  options.trace_dir = trace_dir;
+  options.obs.trace = true;
+  options.obs.trace_dir = trace_dir;
   core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
   auto result = engine.Execute(*spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -384,8 +401,8 @@ TEST_F(EngineIntegrationTest, HiveStagesEachEmitTraces) {
 
   hive::HiveOptions options;
   options.strategy = hive::JoinStrategy::kMapJoin;
-  options.trace = true;
-  options.trace_dir = trace_dir;
+  options.obs.trace = true;
+  options.obs.trace_dir = trace_dir;
   hive::HiveEngine engine(cluster_, HiveStar(), options);
   auto result = engine.Execute(*spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -427,7 +444,7 @@ TEST_F(EngineIntegrationTest, ProfiledRunSurfacesPerOperatorMemory) {
   auto spec = ssb::QueryById("Q2.1");
   ASSERT_TRUE(spec.ok());
   core::ClydesdaleOptions options;
-  options.profile = true;
+  options.obs.profile = true;
   core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
   auto result = engine.Execute(*spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <utility>
 
 #include "common/strings.h"
+#include "mapreduce/cluster_metrics.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
 #include "mapreduce/map_runner.h"
@@ -149,6 +153,61 @@ TEST(MapReduceTest, MissingFactoriesAreInvalidArgument) {
   JobConf conf;
   EXPECT_EQ(RunJob(&cluster, conf).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(JobConfTest, NumbersParseWholeValueOrNameTheKey) {
+  JobConf conf;
+  conf.SetInt("int", -42);
+  conf.SetDouble("double", 2.5);
+  conf.Set("empty", "");
+  EXPECT_EQ(conf.GetInt("int").value(), -42);
+  EXPECT_EQ(conf.GetDouble("double").value(), 2.5);
+  EXPECT_EQ(conf.GetInt("unset", 7).value(), 7);
+  EXPECT_EQ(conf.GetInt("empty", 7).value(), 7);
+  EXPECT_EQ(conf.GetDouble("unset", 1.5).value(), 1.5);
+
+  // Garbage, trailing bytes, leading space and out-of-range values.
+  for (const char* bad : {"three", "3x", " 3", "99999999999999999999"}) {
+    conf.Set("n", bad);
+    const Result<int64_t> parsed = conf.GetInt("n");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("'n'"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  for (const char* bad : {"two", "2.0x", "1e99999"}) {
+    conf.Set("d", bad);
+    const Result<double> parsed = conf.GetDouble("d");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("'d'"), std::string::npos);
+  }
+}
+
+TEST(MapReduceTest, MalformedNumericConfFailsBeforeAnyTask) {
+  MrCluster cluster(SmallCluster());
+  WriteWordTable(&cluster, 100);
+  const std::pair<const char*, const char*> cases[] = {
+      {kConfStragglerMinCompleted, "three"},
+      {kConfStragglerMinCompleted, "99999999999"},  // fits int64, not int
+      {kConfStragglerThreshold, "2.0x"},
+      {kConfMetricsIntervalMs, "99999999999999999999"},
+  };
+  for (const auto& [key, value] : cases) {
+    JobConf conf = WordCountJob("/words", 1);
+    auto mappers = std::make_shared<std::atomic<int>>(0);
+    conf.mapper_factory = [mappers] {
+      ++*mappers;
+      return std::make_unique<WordCountMapper>();
+    };
+    conf.Set(key, value);
+    auto result = RunJob(&cluster, conf);
+    ASSERT_FALSE(result.ok()) << key;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(key), std::string::npos)
+        << result.status().ToString();
+    EXPECT_EQ(mappers->load(), 0) << key << ": a task started";
+  }
 }
 
 TEST(MapReduceTest, TableOutputRoundTrip) {

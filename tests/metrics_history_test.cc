@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,9 +19,11 @@
 #include "mapreduce/job_trace.h"
 #include "mapreduce/straggler.h"
 #include "mapreduce/task_attempt.h"
+#include "obs/mem_tracker.h"
 #include "obs/metrics.h"
 #include "obs/metrics_poller.h"
 #include "obs/query_profile.h"
+#include "storage/scan_spec.h"
 #include "storage/table_format.h"
 
 namespace clydesdale {
@@ -291,8 +297,58 @@ TEST(StragglerTest, IsStragglerThresholdAndFloor) {
 }
 
 // ---------------------------------------------------------------------------
-// Counter / metric name audits (mirrors scripts/check_counters.sh)
+// Counter / metric name audits. Every name is declared once, in a table
+// (counters.h, cluster_metrics.h, core/star_join_job.h), so a declared but
+// unlisted or unregistered name cannot be written. These check the rest:
+// each group's writer really sets every name of its group.
 // ---------------------------------------------------------------------------
+
+/// `counters` holds every name of `group`, nonzero, and nothing else.
+void ExpectSetsExactlyGroup(const Counters& counters, CounterGroup group,
+                            const char* helper) {
+  const std::vector<std::string> names = CounterNames(group);
+  ASSERT_FALSE(names.empty()) << helper;
+  for (const std::string& name : names) {
+    EXPECT_GT(counters.Get(name), 0) << helper << " never sets " << name;
+  }
+  EXPECT_EQ(counters.Snapshot().size(), names.size())
+      << helper << " sets a name outside its group:\n" << counters.ToString();
+}
+
+TEST(MetricNamesTest, FlushHelpersSetEveryNameOfTheirGroup) {
+  storage::ScanStats scan;
+  scan.blocks_skipped = 1;
+  scan.rows_pruned = 2;
+  scan.bytes_encoded = 3;
+  scan.bytes_raw = 4;
+  for (uint64_t& blocks : scan.blocks_by_encoding) blocks = 5;
+  Counters cif;
+  AddCifScanCounters(scan, &cif);
+  ExpectSetsExactlyGroup(cif, CounterGroup::kCifScan, "AddCifScanCounters");
+
+  obs::QueryProfile profile;
+  obs::OperatorProfile root;
+  root.name = "map";
+  root.tasks = 2;
+  profile.roots.push_back(root);
+  Counters prof;
+  AddQueryProfileCounters(profile, &prof);
+  ExpectSetsExactlyGroup(prof, CounterGroup::kProfile,
+                         "AddQueryProfileCounters");
+
+  auto tracker = obs::MemTracker::Create("job");
+  tracker->Consume(64);
+  tracker->Release(64);  // the peak stays
+  Counters mem;
+  AddMemTrackerCounters({tracker}, /*budget_bytes=*/1024, &mem);
+  ExpectSetsExactlyGroup(mem, CounterGroup::kMem, "AddMemTrackerCounters");
+
+  Counters cache;
+  AddDimCacheCounters(/*hits=*/1, /*misses=*/2, /*evictions=*/3,
+                      /*resident_bytes=*/4, &cache);
+  ExpectSetsExactlyGroup(cache, CounterGroup::kDimCache,
+                         "AddDimCacheCounters");
+}
 
 TEST(MetricNamesTest, SituationalCountersDisjointFromStandard) {
   const std::vector<std::string> standard = StandardCounterNames();
@@ -417,6 +473,71 @@ JobConf WordCountJob(const std::string& table, int reduces) {
   };
   return conf;
 }
+
+/// What MemHoldMapper tasks share: the nodes that ran one and the trackers
+/// they ran under.
+struct MemHoldState {
+  MrCluster* cluster = nullptr;
+  std::mutex mu;
+  std::set<int> nodes;
+  std::map<int, std::string> job_tracker_names;
+  std::map<int, const obs::MemTracker*> job_tracker_parents;
+  int64_t instance = 0;
+  std::chrono::steady_clock::time_point deadline;
+};
+
+/// Charges tracked bytes on its node and holds them until every node has a
+/// running map and the poller has sampled this node's current-bytes gauges
+/// above zero (or the deadline passes); records the tracker names it ran
+/// under.
+class MemHoldMapper final : public Mapper {
+ public:
+  explicit MemHoldMapper(std::shared_ptr<MemHoldState> state)
+      : state_(std::move(state)) {}
+
+  Status Setup(TaskContext* context) override {
+    const int node = context->node();
+    const std::shared_ptr<obs::MemTracker>& job = context->job_mem_tracker();
+    if (context->mem_tracker() == nullptr || job == nullptr) {
+      return Status::Internal("memory tracking is off");
+    }
+    CLY_ASSIGN_OR_RETURN(const int64_t instance,
+                         context->conf().GetInt("mr.job.instance"));
+    {
+      std::lock_guard<std::mutex> lock(state_->mu);
+      state_->nodes.insert(node);
+      state_->job_tracker_names[node] = job->name();
+      state_->job_tracker_parents[node] = job->parent().get();
+      state_->instance = instance;
+    }
+    obs::ScopedMemConsumer held(context->mem_tracker());
+    held.Add(4096);
+    ClusterMetrics* metrics = state_->cluster->metrics();
+    const int num_nodes = state_->cluster->num_nodes();
+    while (std::chrono::steady_clock::now() < state_->deadline) {
+      bool every_node_ran = false;
+      {
+        std::lock_guard<std::mutex> lock(state_->mu);
+        every_node_ran = static_cast<int>(state_->nodes.size()) == num_nodes;
+      }
+      if (every_node_ran && metrics->mem_node_bytes(node)->Value() > 0 &&
+          metrics->mem_job_bytes(node)->Value() > 0) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::OK();
+  }
+
+  Status Map(const Row& key, const Row& value, TaskContext*,
+             OutputCollector* out) override {
+    (void)key;
+    return out->Collect(Row({value.Get(0)}), Row({value.Get(1)}));
+  }
+
+ private:
+  std::shared_ptr<MemHoldState> state_;
+};
 
 /// Job-level phase/overlap spans of a live report — the subset the history
 /// mirrors, in the same order the loader reconstructs (start_us ascending).
@@ -712,6 +833,49 @@ TEST(MetricsIntegrationTest, SlowMapIsFlaggedAndGaugesSettle) {
   ASSERT_TRUE(jsonl.ok()) << jsonl.status().ToString();
   EXPECT_NE(jsonl->find("\"event\":\"straggler\""), std::string::npos);
   EXPECT_NE(jsonl->find("\"elapsed_us\":"), std::string::npos);
+}
+
+/// Every cly_mem_* family is sampled for every node, off trackers named by
+/// the canonical helpers: a family the poller never Sets would read 0 here.
+TEST(MetricNamesTest, MemGaugesSampledForEveryNodeFromNamedTrackers) {
+  MrCluster cluster(SmallCluster());
+  WriteWordTable(&cluster, 2000);  // more splits than map slots
+  for (int node = 0; node < cluster.num_nodes(); ++node) {
+    EXPECT_EQ(cluster.node_mem_tracker(node)->name(), obs::NodeTrackerName(node));
+  }
+
+  auto state = std::make_shared<MemHoldState>();
+  state->cluster = &cluster;
+  state->deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  JobConf conf = WordCountJob("/words", 1);
+  conf.mapper_factory = [state] {
+    return std::make_unique<MemHoldMapper>(state);
+  };
+  conf.SetBool(kConfMetricsEnabled, true);
+  conf.SetInt(kConfMetricsIntervalMs, 1);
+  auto result = RunJob(&cluster, conf);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  ASSERT_EQ(static_cast<int>(state->nodes.size()), cluster.num_nodes())
+      << "a node never ran a map";
+  for (int node = 0; node < cluster.num_nodes(); ++node) {
+    EXPECT_EQ(state->job_tracker_names[node],
+              obs::JobTrackerName(state->instance, node));
+    EXPECT_EQ(state->job_tracker_parents[node],
+              cluster.node_mem_tracker(node).get());
+  }
+  const obs::MetricsTimeSeries& series = result->report.metrics_series;
+  ASSERT_FALSE(series.samples.empty());
+  const std::vector<std::string> families =
+      MetricFamilyNames(MetricGroup::kMem);
+  ASSERT_FALSE(families.empty());
+  for (const std::string& family : families) {
+    for (int node = 0; node < cluster.num_nodes(); ++node) {
+      EXPECT_GT(series.MaxValue(StrCat(family, "{node=\"", node, "\"}")), 0)
+          << family << " never sampled above zero on node " << node;
+    }
+  }
 }
 
 TEST(MetricsIntegrationTest, MetricsOffKeepsRegistryQuiet) {

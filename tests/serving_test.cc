@@ -441,8 +441,8 @@ TEST_F(ServingTest, PollerSamplesCacheGauges) {
   auto spec = ssb::QueryById("Q2.1");
   ASSERT_TRUE(spec.ok());
   serving::QueryServerOptions options;
-  options.engine.metrics = true;
-  options.engine.metrics_interval_ms = 1;
+  options.engine.obs.metrics = true;
+  options.engine.obs.metrics_interval_ms = 1;
   serving::QueryServer server(cluster_, dataset_->star, options);
   ASSERT_TRUE(server.Execute(*spec).ok());
   ASSERT_TRUE(server.Execute(*spec).ok());  // gauges observed mid-query
