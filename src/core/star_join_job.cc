@@ -22,6 +22,9 @@ namespace core {
 
 namespace {
 
+/// Rows per B-CIF block handed to the probe loop.
+constexpr int64_t kBatchRows = 4096;
+
 /// The query plan bound to the projected fact schema a task reads.
 struct BoundPlan {
   SchemaPtr fact_schema;
@@ -162,11 +165,10 @@ Status JoinAndAggregateRow(const BoundPlan& plan, const QueryHashTables& tables,
 /// stays columnar inside VectorizedProbe; this loop just pulls batches and
 /// routes them to the sink mode the plan asked for.
 Status ProcessBatches(const BoundPlan& plan, storage::BatchReader* reader,
-                      int64_t batch_rows, ProbeSink* sink,
-                      VectorizedProbe* probe) {
+                      ProbeSink* sink, VectorizedProbe* probe) {
   RowBatch batch(plan.fact_schema);
   while (true) {
-    CLY_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch, batch_rows));
+    CLY_ASSIGN_OR_RETURN(bool more, reader->NextBatch(&batch, kBatchRows));
     if (!more) break;
     if (plan.emit_joined_rows) {
       CLY_RETURN_IF_ERROR(probe->ProcessBatchEmitJoined(
@@ -259,8 +261,6 @@ std::vector<std::string> ClydesdaleCounterNames() {
 
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf) {
   mr::ApplyObsOptions(options.obs, conf);
-  // Tracking defaults on; only an explicit off needs recording in the conf.
-  if (!options.mem_tracking) conf->SetBool(mr::kConfMemTrackingEnabled, false);
   if (options.mem_budget_bytes > 0) {
     conf->mem_budget_bytes = options.mem_budget_bytes;
   }
@@ -427,9 +427,7 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
     ProbeSink* sink = sinks[static_cast<size_t>(t)].get();
     // Partial-aggregate tables are attempt-scoped: charge this attempt's
     // tracker (synced on container growth, released at task end).
-    if (context->mem_tracker() != nullptr) {
-      sink->agg.AttachMemTracker(context->mem_tracker());
-    }
+    sink->agg.AttachMemTracker(context->mem_tracker());
     ThreadProfile* prof = &thread_profiles[static_cast<size_t>(t)];
     std::unique_ptr<VectorizedProbe> vec;
     if (options_.block_iteration) vec = MakeVectorizedProbe(plan, *tables);
@@ -462,8 +460,7 @@ Status StarJoinMapRunner::Run(const mr::InputSplit& split,
         auto reader = storage::OpenSplitBatchReader(
             *context->cluster()->dfs(), fact_desc, *constituents[mine], scan);
         mark_scan_done();
-        st = reader.ok() ? ProcessBatches(plan, reader->get(),
-                                          options_.batch_rows, sink, vec.get())
+        st = reader.ok() ? ProcessBatches(plan, reader->get(), sink, vec.get())
                          : reader.status();
       } else {
         auto reader = storage::OpenSplitRowReader(
@@ -632,9 +629,7 @@ struct StarJoinMapper::TaskState {
 
 Status StarJoinMapper::Setup(mr::TaskContext* context) {
   state_ = std::make_shared<TaskState>(AggLayout::For(spec_.aggregates));
-  if (context->mem_tracker() != nullptr) {
-    state_->sink.agg.AttachMemTracker(context->mem_tracker());
-  }
+  state_->sink.agg.AttachMemTracker(context->mem_tracker());
   CLY_ASSIGN_OR_RETURN(state_->tables,
                        GetOrBuildHashTables(context, *star_, spec_, options_));
   CLY_ASSIGN_OR_RETURN(storage::TableDesc fact_desc,

@@ -36,18 +36,10 @@ struct ClydesdaleOptions {
   /// When the query's estimated tables exceed it, the engine falls back to
   /// the staged multi-pass join of paper §5.1 ("Discussion").
   uint64_t max_hash_memory_bytes = 0;
-  /// Rows per B-CIF block handed to the probe loop.
-  int64_t batch_rows = 4096;
   /// CIF splits packed per multi-split; 0 = all of a node's splits at once.
   int64_t multisplit_size = 0;
-  /// Trace, metrics, history and profile switches for every stage job.
+  /// Trace output, metrics and profile switches for every stage job.
   mr::ObsOptions obs;
-  /// Hierarchical memory accounting (obs.mem.enabled): the MemTracker tree
-  /// charges dim hash tables, scan arenas, aggregation tables and shuffle
-  /// runs, surfacing per-operator bytes in EXPLAIN ANALYZE and MEM_*
-  /// counters. On by default; off removes all tracking for A/B overhead
-  /// measurement.
-  bool mem_tracking = true;
   /// Per-job memory budget (JobConf::mem_budget_bytes): admission control
   /// rejects a query whose estimated dimension tables exceed it, and a
   /// runtime breach fails the attempt with ResourceExhausted. 0 = unlimited.
@@ -63,8 +55,8 @@ struct ClydesdaleOptions {
   std::shared_ptr<DimTableCache> dim_cache;
 };
 
-/// Forwards the options' observability switches (ObsOptions, memory tracking
-/// and budget) into a stage job's conf; every Clydesdale stage job
+/// Forwards the options' observability switches (ObsOptions and the memory
+/// budget) into a stage job's conf; every Clydesdale stage job
 /// (single-job, staged fallback) goes through this so traces stay
 /// comparable across plans.
 void ApplyTraceConf(const ClydesdaleOptions& options, mr::JobConf* conf);

@@ -6,8 +6,6 @@
 #include "hive/agg_stages.h"
 #include "hive/map_join.h"
 #include "hive/repartition_join.h"
-#include "mapreduce/cluster_metrics.h"
-#include "mapreduce/job_trace.h"
 
 namespace clydesdale {
 namespace hive {
@@ -80,18 +78,16 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
   CLY_RETURN_IF_ERROR(core::SortResultRows(spec, &result.rows));
 
   // --- cleanup -------------------------------------------------------------------
-  if (options_.cleanup_intermediates) {
-    for (const JoinStageSpec& stage : plan.joins) {
-      CLY_ASSIGN_OR_RETURN(int removed,
-                           cluster_->dfs()->DeleteRecursive(stage.output_table));
-      (void)removed;
-      cluster_->InvalidateTable(stage.output_table);
-    }
+  for (const JoinStageSpec& stage : plan.joins) {
     CLY_ASSIGN_OR_RETURN(int removed,
-                         cluster_->dfs()->DeleteRecursive(plan.agg.output_table));
+                         cluster_->dfs()->DeleteRecursive(stage.output_table));
     (void)removed;
-    cluster_->InvalidateTable(plan.agg.output_table);
+    cluster_->InvalidateTable(stage.output_table);
   }
+  CLY_ASSIGN_OR_RETURN(int removed,
+                       cluster_->dfs()->DeleteRecursive(plan.agg.output_table));
+  (void)removed;
+  cluster_->InvalidateTable(plan.agg.output_table);
 
   result.wall_seconds = timer.ElapsedSeconds();
   return result;

@@ -15,10 +15,10 @@ struct HiveOptions {
   JoinStrategy strategy = JoinStrategy::kRepartition;
   /// Reducers for join and group-by stages.
   int reduce_tasks = 4;
+  /// DFS directory for the plan's intermediate tables, which are dropped
+  /// after the query finishes.
   std::string scratch_root = "/tmp/hive";
-  /// Drop intermediate tables after the query finishes.
-  bool cleanup_intermediates = true;
-  /// Trace, metrics, history and profile switches for every stage job,
+  /// Trace output, metrics and profile switches for every stage job,
   /// the same struct as ClydesdaleOptions::obs: a traced Hive run and a
   /// traced Clydesdale run of the same query yield directly comparable
   /// Chrome traces.

@@ -12,16 +12,10 @@ namespace mr {
 // Conf keys gating the live-observability subsystem.
 inline constexpr const char kConfMetricsEnabled[] = "obs.metrics.enabled";
 inline constexpr const char kConfMetricsIntervalMs[] = "obs.metrics.interval_ms";
-inline constexpr const char kConfMetricsDir[] = "obs.metrics.dir";
-inline constexpr const char kConfHistoryEnabled[] = "obs.history.enabled";
 inline constexpr const char kConfStragglerThreshold[] = "obs.straggler.threshold";
 inline constexpr const char kConfStragglerMinCompleted[] =
     "obs.straggler.min_completed";
 inline constexpr const char kConfProfileEnabled[] = "obs.profile.enabled";
-/// Hierarchical memory accounting (obs::MemTracker tree). On by default;
-/// turning it off removes the tree entirely (no trackers created, no
-/// gauges updated) for A/B overhead measurement.
-inline constexpr const char kConfMemTrackingEnabled[] = "obs.mem.enabled";
 /// Engine-computed estimate of the job's dimension hash-table footprint
 /// (bytes), consulted by admission control against JobConf::mem_budget_bytes.
 inline constexpr const char kConfMemEstimateBytes[] = "obs.mem.estimate_bytes";

@@ -101,7 +101,6 @@ void AddMemTrackerCounters(
   int64_t job_peak = 0;
   int64_t node_peak = 0;
   for (const auto& tracker : job_trackers) {
-    if (tracker == nullptr) continue;
     job_peak += tracker->peak();
     node_peak = std::max(node_peak, tracker->peak());
   }

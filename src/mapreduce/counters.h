@@ -22,7 +22,7 @@ enum class CounterGroup {
   kStraggler,  ///< online straggler detector; needs a slow task
   kCifScan,    ///< AddCifScanCounters
   kProfile,    ///< AddQueryProfileCounters (obs.profile.enabled runs)
-  kMem,        ///< AddMemTrackerCounters (obs.mem.enabled runs)
+  kMem,        ///< AddMemTrackerCounters (every RunJob)
   kDimCache,   ///< AddDimCacheCounters (serving-mode dim-table cache)
 };
 
@@ -174,8 +174,8 @@ void AddQueryProfileCounters(const obs::QueryProfile& profile,
 /// Folds the job's MemTracker high-water marks into `counters` at job end:
 /// MEM_JOB_PEAK_BYTES (sum of the job's per-node tracker peaks),
 /// MEM_NODE_PEAK_BYTES (largest single per-node peak) and MEM_BUDGET_BYTES
-/// (the configured limit). Zero values are not added, so untracked jobs
-/// carry no MEM_* counters.
+/// (the configured limit). Zero values are not added, so a job that
+/// charged nothing carries no MEM_* counters.
 void AddMemTrackerCounters(
     const std::vector<std::shared_ptr<obs::MemTracker>>& job_trackers,
     uint64_t budget_bytes, Counters* counters);

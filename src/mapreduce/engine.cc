@@ -8,7 +8,6 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "mapreduce/input_format.h"
-#include "mapreduce/job_history.h"
 #include "mapreduce/job_runner.h"
 #include "mapreduce/job_trace.h"
 #include "mapreduce/shuffle.h"
@@ -241,12 +240,9 @@ std::string RenderClusterDashboard(const obs::MetricsTimeSeries& series,
   return obs::RenderDashboard(series, rows);
 }
 
-/// The job body shared by every exit path of RunJob. `report` stays owned by
-/// the caller so an error return still leaves the partial counters/tasks
-/// visible to the history recorder.
+/// The body of RunJob.
 Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
-                             int64_t instance, JobReport* report_out,
-                             JobHistoryRecorder* history) {
+                             int64_t instance) {
   Stopwatch job_timer;
 
   if (!conf.input_format_factory) {
@@ -295,17 +291,15 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 
   ScratchGcGuard scratch_gc{cluster, instance};
 
-  JobReport& report = *report_out;
+  JobReport report;
   report.job_name = conf.job_name;
   report.num_nodes = cluster->num_nodes();
   const uint64_t dfs_written_before = cluster->dfs()->TotalIo().bytes_written;
 
-  // A null recorder pointer is how "tracing off" reaches every Span below:
-  // spans constructed against nullptr cost two stores. Metrics follow the
-  // same pattern: a null ClusterMetrics* through the runner means off.
+  // Spans are always recorded; trace_dir only decides whether they are also
+  // written out. A null ClusterMetrics* through the runner means metrics off.
   obs::TraceRecorder trace_recorder;
-  obs::TraceRecorder* trace =
-      conf.GetBool(kConfTraceEnabled) ? &trace_recorder : nullptr;
+  obs::TraceRecorder* const trace = &trace_recorder;
   ClusterMetrics* metrics =
       conf.GetBool(kConfMetricsEnabled) ? cluster->metrics() : nullptr;
   ScopedLogContext job_log_context(conf.job_name);
@@ -319,11 +313,6 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 
   CLY_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<InputSplit>> splits,
                        input_format->GetSplits(cluster, conf));
-  if (history != nullptr) {
-    history->RecordJobSubmitted(cluster->num_nodes(),
-                                static_cast<int>(splits.size()),
-                                std::max(conf.num_reduce_tasks, 0));
-  }
 
   // Map and reduce phases both run inside the runner: trackers pull attempts
   // (late-binding locality), maps publish shuffle runs as they finish, and
@@ -333,8 +322,7 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
   // scheduling policy) is still setup time.
   auto runner = std::make_shared<JobRunner>(
       cluster, &conf, instance, straggler_policy, std::move(splits),
-      input_format.get(), output_format.get(), &report, trace, metrics,
-      history);
+      input_format.get(), output_format.get(), &report, trace, metrics);
   // The poller samples the whole registry on its interval and sweeps the
   // runner's straggler probe first each tick. Declared after `runner` and
   // holding its own shared_ptr, so an early error return tears it down
@@ -347,19 +335,15 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
       runner->PollLiveMetrics();
       // Sample the MemTracker tree into the labeled gauge families: node
       // totals straight off the per-node trackers, job totals off this
-      // runner's per-(job, node) trackers (empty when obs.mem.enabled is
-      // off, leaving the gauges at their last value — zero).
+      // runner's per-(job, node) trackers.
       const auto& job_trackers = runner->job_mem_trackers();
       for (int n = 0; n < cluster->num_nodes(); ++n) {
         const auto& node_tracker = cluster->node_mem_tracker(n);
         metrics->mem_node_bytes(n)->Set(node_tracker->consumed());
         metrics->mem_node_peak_bytes(n)->Set(node_tracker->peak());
-        if (static_cast<size_t>(n) < job_trackers.size() &&
-            job_trackers[static_cast<size_t>(n)] != nullptr) {
-          const auto& job_tracker = job_trackers[static_cast<size_t>(n)];
-          metrics->mem_job_bytes(n)->Set(job_tracker->consumed());
-          metrics->mem_job_peak_bytes(n)->Set(job_tracker->peak());
-        }
+        const auto& job_tracker = job_trackers[static_cast<size_t>(n)];
+        metrics->mem_job_bytes(n)->Set(job_tracker->consumed());
+        metrics->mem_job_peak_bytes(n)->Set(job_tracker->peak());
       }
       // Serving mode: sample the cross-query dim-table cache through the
       // cluster's type-erased probe. No server attached → gauges stay 0.
@@ -400,37 +384,21 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
     report.metrics_prom = cluster->metrics_registry()->PrometheusText();
   }
 
-  if (trace != nullptr) {
-    job_span.End();
-    report.spans = trace_recorder.Drain();
-    AppendShuffleOverlapSpan(&report.spans);
-    // Mirror job-level phase timings into the history, copied from the
-    // drained spans so a history-only reader reconstructs the same critical
-    // path, to the microsecond.
-    if (history != nullptr) {
-      for (const obs::SpanRecord& span : report.spans) {
-        if (span.task != -1) continue;
-        const std::string category = span.category;
-        if (category != "phase" && category != "overlap") continue;
-        history->RecordPhase(span.name, category, span.start_us, span.dur_us);
-      }
-    }
-    const std::string trace_dir = conf.Get(kConfTraceDir);
-    if (!trace_dir.empty()) {
-      CLY_RETURN_IF_ERROR(WriteJobTrace(report, trace_dir, instance));
-      CLY_LOG(Debug) << "wrote trace to " << trace_dir << "/" << conf.job_name
-                     << "-" << instance << ".trace.json";
-    }
+  job_span.End();
+  report.spans = trace_recorder.Drain();
+  AppendShuffleOverlapSpan(&report.spans);
+  const std::string trace_dir = conf.Get(kConfTraceDir);
+  if (!trace_dir.empty()) {
+    CLY_RETURN_IF_ERROR(WriteJobTrace(report, trace_dir, instance));
+    CLY_LOG(Debug) << "wrote trace to " << trace_dir << "/" << conf.job_name
+                   << "-" << instance << ".trace.json";
   }
 
-  // Metrics artifacts land next to the Chrome trace (kConfMetricsDir
-  // defaults to the trace dir): Prometheus-text snapshot, sampled time
-  // series, and the text cluster dashboard.
-  const std::string metrics_dir =
-      conf.Get(kConfMetricsDir, conf.Get(kConfTraceDir));
-  if (metrics != nullptr && !metrics_dir.empty()) {
+  // Metrics artifacts land next to the Chrome trace: Prometheus-text
+  // snapshot, sampled time series, and the text cluster dashboard.
+  if (metrics != nullptr && !trace_dir.empty()) {
     const std::string base =
-        StrCat(metrics_dir, "/", conf.job_name, "-", instance);
+        StrCat(trace_dir, "/", conf.job_name, "-", instance);
     CLY_RETURN_IF_ERROR(WriteTextFile(base + ".prom", report.metrics_prom));
     CLY_RETURN_IF_ERROR(
         WriteTextFile(base + ".metrics.json", report.metrics_series.ToJson()));
@@ -442,9 +410,9 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 
   // EXPLAIN ANALYZE artifacts for profiled runs, next to the trace/metrics
   // files (run_benches.sh exports the .json as BENCH_profile.json).
-  if (!report.profile.empty() && !metrics_dir.empty()) {
+  if (!report.profile.empty() && !trace_dir.empty()) {
     const std::string base =
-        StrCat(metrics_dir, "/", conf.job_name, "-", instance);
+        StrCat(trace_dir, "/", conf.job_name, "-", instance);
     CLY_RETURN_IF_ERROR(WriteTextFile(
         base + ".profile.json", obs::ExplainAnalyzeJson(report.profile)));
     CLY_RETURN_IF_ERROR(WriteTextFile(
@@ -461,13 +429,11 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 }  // namespace
 
 void ApplyObsOptions(const ObsOptions& obs, JobConf* conf) {
-  if (obs.trace) conf->SetBool(kConfTraceEnabled, true);
   if (!obs.trace_dir.empty()) conf->Set(kConfTraceDir, obs.trace_dir);
   if (obs.metrics) {
     conf->SetBool(kConfMetricsEnabled, true);
     conf->SetInt(kConfMetricsIntervalMs, obs.metrics_interval_ms);
   }
-  if (obs.history) conf->SetBool(kConfHistoryEnabled, true);
   if (obs.profile) conf->SetBool(kConfProfileEnabled, true);
 }
 
@@ -476,43 +442,10 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& user_conf) {
   const int64_t instance = cluster->NextJobInstance();
   conf.SetInt("mr.job.instance", instance);
 
-  std::unique_ptr<JobHistoryRecorder> history;
-  if (conf.GetBool(kConfHistoryEnabled)) {
-    history = std::make_unique<JobHistoryRecorder>(conf.job_name, instance);
-  }
   const bool metrics_on = conf.GetBool(kConfMetricsEnabled);
   if (metrics_on) cluster->metrics()->jobs_running()->Add(1);
-  JobReport live_report;
-  Result<JobResult> result =
-      ExecuteJob(cluster, conf, instance, &live_report, history.get());
+  Result<JobResult> result = ExecuteJob(cluster, conf, instance);
   if (metrics_on) cluster->metrics()->jobs_running()->Add(-1);
-
-  // The history log is finalized and persisted on every exit path —
-  // success, validation error, task failure — like the Hadoop
-  // JobHistoryServer's done-dir. On success the live report was moved into
-  // the result, so read it back from there.
-  if (history != nullptr) {
-    const JobReport& final_report = result.ok() ? result->report : live_report;
-    history->RecordJobFinished(result.ok() ? Status::OK() : result.status(),
-                               final_report);
-    const Status write_status =
-        WriteJobHistory(cluster->local_store(0), *history);
-    if (!write_status.ok()) {
-      CLY_LOG(Warning) << "failed to persist job history: "
-                       << write_status.ToString();
-    }
-    const std::string metrics_dir =
-        conf.Get(kConfMetricsDir, conf.Get(kConfTraceDir));
-    if (!metrics_dir.empty()) {
-      const std::string path = StrCat(metrics_dir, "/", conf.job_name, "-",
-                                      instance, ".history.jsonl");
-      const Status dump_status = WriteTextFile(path, history->Serialize());
-      if (!dump_status.ok()) {
-        CLY_LOG(Warning) << "failed to dump job history: "
-                         << dump_status.ToString();
-      }
-    }
-  }
   return result;
 }
 

@@ -71,8 +71,8 @@ class MrCluster {
   const std::shared_ptr<obs::MemTracker>& mem_tracker() {
     return mem_tracker_;
   }
-  /// Per-node tracker ("node<N>"), child of the cluster root. Jobs parent
-  /// their per-(job, node) trackers here when kConfMemTrackingEnabled is on.
+  /// Per-node tracker ("node<N>"), child of the cluster root. Every job
+  /// parents its per-(job, node) trackers here.
   const std::shared_ptr<obs::MemTracker>& node_mem_tracker(hdfs::NodeId node) {
     return node_mem_trackers_[static_cast<size_t>(node)];
   }
@@ -151,23 +151,20 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& conf);
 
 /// The observability switches an engine forwards into every stage job it
 /// runs (ClydesdaleOptions::obs, HiveOptions::obs), so traces, metrics and
-/// profiles of different engines and plans stay comparable. Counters and
-/// histograms are always maintained; these gate the rest.
+/// profiles of different engines and plans stay comparable. Counters,
+/// histograms, phase/task spans and memory accounting are always on; these
+/// gate the rest.
 struct ObsOptions {
-  /// Span tracing (obs.trace.enabled).
-  bool trace = false;
-  /// When tracing, write <job>-<instance>.trace.json/.timeline.txt into
-  /// this directory (obs.trace.dir). Empty = keep spans in memory only.
+  /// Write <job>-<instance>.trace.json/.timeline.txt (and the metrics and
+  /// profile artifacts of jobs that have them) into this directory
+  /// (obs.trace.dir). Empty = keep spans in the JobReport only.
   std::string trace_dir;
   /// Live cluster metrics + online straggler detection
-  /// (obs.metrics.enabled): the MetricsPoller samples the registry every
-  /// `metrics_interval_ms` and, when trace_dir is set, RunJob writes
+  /// (obs.metrics.enabled): the MetricsPoller thread samples the registry
+  /// every `metrics_interval_ms` and, when trace_dir is set, RunJob writes
   /// .prom/.metrics.json/.dashboard.txt artifacts next to the trace.
   bool metrics = false;
   int64_t metrics_interval_ms = 5;
-  /// Structured JSONL job-history log (obs.history.enabled), persisted to
-  /// node 0's LocalStore and (with trace_dir) as <job>-<n>.history.jsonl.
-  bool history = false;
   /// Per-operator query profiler (obs.profile.enabled): operator nodes
   /// accumulated per task attempt, merged into JobReport::profile and
   /// rendered as EXPLAIN ANALYZE. Off = zero instrumentation overhead.

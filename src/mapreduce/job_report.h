@@ -52,7 +52,8 @@ struct JobReport {
   /// by the kHist* names in job_trace.h. Always populated.
   obs::HistogramRegistry histograms;
   /// Spans drained from the job's TraceRecorder, sorted by start time.
-  /// Empty unless the job ran with kConfTraceEnabled.
+  /// Always populated: the job span, its setup/map-phase/reduce-phase/commit
+  /// phase spans, and the task and stage spans inside them.
   std::vector<obs::SpanRecord> spans;
   /// Live-metrics trajectory sampled by the MetricsPoller and the final
   /// Prometheus-text snapshot. Empty unless kConfMetricsEnabled.

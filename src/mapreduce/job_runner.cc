@@ -9,7 +9,6 @@
 #include "mapreduce/cluster_metrics.h"
 #include "mapreduce/counters.h"
 #include "mapreduce/engine.h"
-#include "mapreduce/job_history.h"
 #include "mapreduce/job_trace.h"
 #include "mapreduce/map_runner.h"
 #include "mapreduce/task_context.h"
@@ -35,7 +34,7 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
                      std::vector<std::shared_ptr<InputSplit>> splits,
                      InputFormat* input_format, OutputFormat* output_format,
                      JobReport* report, obs::TraceRecorder* trace,
-                     ClusterMetrics* metrics, JobHistoryRecorder* history)
+                     ClusterMetrics* metrics)
     : cluster_(cluster),
       conf_(conf),
       instance_(instance),
@@ -45,7 +44,6 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
       report_(report),
       trace_(trace),
       metrics_(metrics),
-      history_(history),
       num_reduces_(std::max(conf->num_reduce_tasks, 0)),
       map_only_(num_reduces_ == 0),
       map_cap_per_node_(conf->single_task_per_node
@@ -75,15 +73,13 @@ JobRunner::JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
   // the cluster's node trackers, carrying the job's budget as its limit.
   // Everything a task charges (dim tables, scan arenas, shuffle runs)
   // propagates node -> cluster through these.
-  if (conf->GetBool(kConfMemTrackingEnabled, true)) {
-    job_mem_trackers_.reserve(static_cast<size_t>(cluster->num_nodes()));
-    for (int n = 0; n < cluster->num_nodes(); ++n) {
-      job_mem_trackers_.push_back(obs::MemTracker::Create(
-          obs::JobTrackerName(instance, n), cluster->node_mem_tracker(n),
-          static_cast<int64_t>(conf->mem_budget_bytes)));
-    }
-    shuffle_.set_mem_trackers(job_mem_trackers_);
+  job_mem_trackers_.reserve(static_cast<size_t>(cluster->num_nodes()));
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    job_mem_trackers_.push_back(obs::MemTracker::Create(
+        obs::JobTrackerName(instance, n), cluster->node_mem_tracker(n),
+        static_cast<int64_t>(conf->mem_budget_bytes)));
   }
+  shuffle_.set_mem_trackers(job_mem_trackers_);
   // Queue-depth gauges go up by the full attempt count here and come back
   // down one claim (or one abort-kill) at a time — net zero by job end.
   if (metrics_ != nullptr) {
@@ -135,11 +131,6 @@ TaskAttempt* JobRunner::ClaimLocked(hdfs::NodeId node, bool reduce_slot) {
         metrics_->queued_reduces()->Add(-1);
         metrics_->running_reduces(node)->Add(1);
       }
-      if (history_ != nullptr) {
-        history_->RecordAttemptRunning(/*is_map=*/false,
-                                       attempt->task_index(),
-                                       attempt->attempt(), node);
-      }
       return attempt.get();
     }
     return nullptr;
@@ -165,10 +156,6 @@ TaskAttempt* JobRunner::ClaimLocked(hdfs::NodeId node, bool reduce_slot) {
   if (metrics_ != nullptr) {
     metrics_->queued_maps()->Add(-1);
     metrics_->running_maps(node)->Add(1);
-  }
-  if (history_ != nullptr) {
-    history_->RecordAttemptRunning(/*is_map=*/true, attempt->task_index(),
-                                   attempt->attempt(), node);
   }
   return attempt;
 }
@@ -215,11 +202,6 @@ void JobRunner::FinishAttempt(TaskAttempt* attempt, Status status) {
       // A flagged straggler leaving keeps the live gauge net-zero.
       if (attempt->straggler_flagged) metrics_->stragglers_running()->Add(-1);
     }
-    if (history_ != nullptr) {
-      history_->RecordAttemptFinished(attempt->report,
-                                      status.ok() ? "succeeded" : "failed",
-                                      status.ok() ? "" : status.ToString());
-    }
     if (attempt->is_map()) {
       --running_maps_[static_cast<size_t>(attempt->node)];
       --maps_unfinished_;
@@ -254,14 +236,6 @@ void JobRunner::FinishAttempt(TaskAttempt* attempt, Status status) {
                   ->Add(-1);
               metrics_->attempts_finished(is_map, "killed")->Inc();
             }
-            if (history_ != nullptr) {
-              TaskReport& tr = a->report;
-              tr.index = a->task_index();
-              tr.attempt = a->attempt();
-              tr.is_map = is_map;
-              tr.node = a->node;
-              history_->RecordAttemptFinished(tr, "killed", killed.ToString());
-            }
           }
         };
         kill_queued(map_attempts_, /*is_map=*/true, &maps_unfinished_);
@@ -292,11 +266,6 @@ void JobRunner::PollLiveMetrics() {
         metrics_->stragglers_running()->Add(1);
         metrics_->stragglers_total()->Inc();
       }
-      if (history_ != nullptr) {
-        history_->RecordStraggler(StragglerFlag{a->is_map(), a->task_index(),
-                                                a->attempt(), a->node,
-                                                elapsed_us, median_us});
-      }
       CLY_LOG(Debug) << "straggler flagged: " << a->Label() << "@node"
                      << a->node << " elapsed " << elapsed_us
                      << "us vs median " << median_us << "us";
@@ -320,14 +289,12 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
   TaskContext context(conf_, cluster_, index, node, task_threads_, shared,
                       &report_->counters, trace_, &report_->histograms,
                       attempt->attempt());
-  std::shared_ptr<obs::MemTracker> attempt_tracker;
-  if (!job_mem_trackers_.empty()) {
-    attempt_tracker = obs::MemTracker::Create(
-        StrCat("m-", index, ".", attempt->attempt()),
-        job_mem_trackers_[static_cast<size_t>(node)]);
-    context.set_mem_trackers(attempt_tracker,
-                             job_mem_trackers_[static_cast<size_t>(node)]);
-  }
+  const std::shared_ptr<obs::MemTracker>& job_tracker =
+      job_mem_trackers_[static_cast<size_t>(node)];
+  const std::shared_ptr<obs::MemTracker> attempt_tracker =
+      obs::MemTracker::Create(StrCat("m-", index, ".", attempt->attempt()),
+                              job_tracker);
+  context.set_mem_trackers(attempt_tracker, job_tracker);
   ScopedLogContext task_log_context(context.DebugLabel(/*is_map=*/true));
   obs::Span task_span(trace_, "map-task", "task", index, node);
 
@@ -441,12 +408,10 @@ Status JobRunner::RunMapAttempt(TaskAttempt* attempt) {
     root.wall_max_ns = attempt_ns;
     root.cpu_ns = static_cast<uint64_t>(obs::ThreadCpuNanos() - prof_cpu0);
     root.tasks = 1;
-    if (attempt_tracker != nullptr) {
-      root.mem_current_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
-      root.mem_peak_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
-    }
+    root.mem_current_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
+    root.mem_peak_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
     root.children = context.TakeProfileOperators();
     std::lock_guard<std::mutex> lock(mu_);
     report_->profile.MergeAttempt(root, prof_start_us, clock_.ElapsedMicros());
@@ -464,14 +429,12 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
   TaskContext context(conf_, cluster_, r, node, /*allowed_threads=*/1,
                       std::make_shared<SharedJvmState>(), &report_->counters,
                       trace_, &report_->histograms, attempt->attempt());
-  std::shared_ptr<obs::MemTracker> attempt_tracker;
-  if (!job_mem_trackers_.empty()) {
-    attempt_tracker = obs::MemTracker::Create(
-        StrCat("r-", r, ".", attempt->attempt()),
-        job_mem_trackers_[static_cast<size_t>(node)]);
-    context.set_mem_trackers(attempt_tracker,
-                             job_mem_trackers_[static_cast<size_t>(node)]);
-  }
+  const std::shared_ptr<obs::MemTracker>& job_tracker =
+      job_mem_trackers_[static_cast<size_t>(node)];
+  const std::shared_ptr<obs::MemTracker> attempt_tracker =
+      obs::MemTracker::Create(StrCat("r-", r, ".", attempt->attempt()),
+                              job_tracker);
+  context.set_mem_trackers(attempt_tracker, job_tracker);
   ScopedLogContext task_log_context(context.DebugLabel(/*is_map=*/false));
   obs::Span task_span(trace_, "reduce-task", "task", r, node);
 
@@ -571,12 +534,10 @@ Status JobRunner::RunReduceAttempt(TaskAttempt* attempt) {
     root.wall_max_ns = attempt_ns;
     root.cpu_ns = static_cast<uint64_t>(obs::ThreadCpuNanos() - prof_cpu0);
     root.tasks = 1;
-    if (attempt_tracker != nullptr) {
-      root.mem_current_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
-      root.mem_peak_bytes =
-          static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
-    }
+    root.mem_current_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->consumed()));
+    root.mem_peak_bytes =
+        static_cast<uint64_t>(std::max<int64_t>(0, attempt_tracker->peak()));
     obs::OperatorProfile shuffle;
     shuffle.name = "shuffle";
     shuffle.kind = "shuffle";
@@ -617,11 +578,6 @@ Status JobRunner::Execute(const std::shared_ptr<JobRunner>& self) {
     {
       std::unique_lock<std::mutex> lock(mu_);
       done_cv_.wait(lock, [this] { return maps_unfinished_ == 0; });
-    }
-    // History checkpoint at the map barrier: the counters a JobTracker UI
-    // would show when the map progress bar hits 100%.
-    if (history_ != nullptr) {
-      history_->RecordCountersSnapshot("map-end", report_->counters);
     }
     if (map_only_) {
       for (int n = 0; n < cluster_->num_nodes(); ++n) {

@@ -24,7 +24,6 @@ namespace clydesdale {
 namespace mr {
 
 class ClusterMetrics;
-class JobHistoryRecorder;
 class MrCluster;
 
 /// Thread-safe counting collector for records that go straight to the job's
@@ -61,16 +60,13 @@ class OutputFormatCollector final : public OutputCollector {
 /// attempts is in flight, even after Execute returned the job's result.
 class JobRunner {
  public:
-  /// `metrics` (optional) receives live slot/queue/outcome updates;
-  /// `history` (optional) receives every attempt state transition. Both may
-  /// be null independently of each other.
+  /// `metrics` (optional) receives live slot/queue/outcome updates.
   JobRunner(MrCluster* cluster, const JobConf* conf, int64_t instance,
             StragglerPolicy straggler_policy,
             std::vector<std::shared_ptr<InputSplit>> splits,
             InputFormat* input_format, OutputFormat* output_format,
             JobReport* report, obs::TraceRecorder* trace,
-            ClusterMetrics* metrics = nullptr,
-            JobHistoryRecorder* history = nullptr);
+            ClusterMetrics* metrics = nullptr);
 
   // --- tracker pull API -----------------------------------------------------
   /// Would TryRunWork from this (node, slot kind) claim an attempt now?
@@ -93,17 +89,16 @@ class JobRunner {
   /// MetricsPoller probe: sweeps running attempts through the online
   /// straggler detector, flagging (once, edge-triggered) any attempt whose
   /// elapsed time exceeds the policy threshold times the running median of
-  /// completed same-phase attempts. Updates the straggler gauge/counter,
-  /// the STRAGGLER_ATTEMPTS job counter, and the history log.
+  /// completed same-phase attempts. Updates the straggler gauge/counter
+  /// and the STRAGGLER_ATTEMPTS job counter.
   void PollLiveMetrics();
 
   const StragglerDetector& straggler_detector() const { return straggler_; }
 
   /// The job's per-node MemTrackers ("job<I>@node<N>", children of the
   /// cluster's node trackers, limited by JobConf::mem_budget_bytes), indexed
-  /// by NodeId. Empty when obs.mem.enabled is off. The engine's poller
-  /// samples these into the cly_mem_job_* gauges and its counter flush reads
-  /// their peaks at job end.
+  /// by NodeId. The engine's poller samples these into the cly_mem_job_*
+  /// gauges and its counter flush reads their peaks at job end.
   const std::vector<std::shared_ptr<obs::MemTracker>>& job_mem_trackers()
       const {
     return job_mem_trackers_;
@@ -126,7 +121,6 @@ class JobRunner {
   JobReport* const report_;
   obs::TraceRecorder* const trace_;
   ClusterMetrics* const metrics_;
-  JobHistoryRecorder* const history_;
   /// The runner's own clock: attempt start/elapsed times for the straggler
   /// probe (same timebase for claim and poll).
   const Stopwatch clock_;
@@ -138,8 +132,7 @@ class JobRunner {
   const int map_cap_per_node_;
   const int task_threads_;
 
-  /// Per-node job trackers; populated in the ctor body (obs.mem.enabled),
-  /// and handed to shuffle_ as shared_ptr copies, so declaration order
+  /// Per-node job trackers; populated in the ctor body and handed to shuffle_ as shared_ptr copies, so declaration order
   /// relative to shuffle_ does not matter.
   std::vector<std::shared_ptr<obs::MemTracker>> job_mem_trackers_;
 

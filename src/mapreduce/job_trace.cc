@@ -37,16 +37,15 @@ PhaseSkew ComputeSkew(const std::vector<TaskReport>& tasks) {
   return out;
 }
 
-/// Duration (seconds) of the first phase-category span named `name`, or
-/// `fallback` when the report carries no spans (tracing was off).
-double PhaseSeconds(const JobReport& report, const char* name,
-                    double fallback) {
+/// Duration (seconds) of the first span named `name`, or 0 when the job had
+/// no such phase.
+double PhaseSeconds(const JobReport& report, const char* name) {
   for (const obs::SpanRecord& span : report.spans) {
     if (span.name == name) {
       return static_cast<double>(span.dur_us) * 1e-6;
     }
   }
-  return fallback;
+  return 0;
 }
 
 }  // namespace
@@ -67,13 +66,11 @@ CriticalPathReport CriticalPath(const JobReport& report) {
   out.slowest_reduce_seconds = reduce_skew.slowest_seconds;
   out.reduce_skew = reduce_skew.skew;
 
-  out.setup_seconds = PhaseSeconds(report, "setup", 0);
-  out.map_phase_seconds =
-      PhaseSeconds(report, "map-phase", map_skew.slowest_seconds);
-  out.reduce_phase_seconds =
-      PhaseSeconds(report, "reduce-phase", reduce_skew.slowest_seconds);
-  out.commit_seconds = PhaseSeconds(report, "commit", 0);
-  out.shuffle_overlap_seconds = PhaseSeconds(report, "shuffle-overlap", 0);
+  out.setup_seconds = PhaseSeconds(report, "setup");
+  out.map_phase_seconds = PhaseSeconds(report, "map-phase");
+  out.reduce_phase_seconds = PhaseSeconds(report, "reduce-phase");
+  out.commit_seconds = PhaseSeconds(report, "commit");
+  out.shuffle_overlap_seconds = PhaseSeconds(report, "shuffle-overlap");
   return out;
 }
 

@@ -9,14 +9,11 @@
 namespace clydesdale {
 namespace mr {
 
-// Tracing configuration (JobConf string properties). Engines forward these
-// from their options; see ClydesdaleOptions / HiveOptions.
-/// "true" turns span recording on for the job (histograms and counters are
-/// always maintained; only spans are gated, to keep the hot path free).
-inline constexpr const char kConfTraceEnabled[] = "obs.trace.enabled";
-/// When set (and tracing is on), the engine writes
+/// Trace output directory (JobConf string property; engines forward it from
+/// ObsOptions::trace_dir). When set, the engine writes
 /// `<dir>/<job_name>-<instance>.trace.json` (Chrome trace_event format) and
-/// `<dir>/<job_name>-<instance>.timeline.txt` next to the job's output.
+/// `<dir>/<job_name>-<instance>.timeline.txt` for every job. Spans are
+/// recorded into JobReport::spans whether or not it is set.
 inline constexpr const char kConfTraceDir[] = "obs.trace.dir";
 
 // Standard histogram names maintained by the engine (JobReport::histograms).
@@ -57,8 +54,8 @@ struct CriticalPathReport {
 };
 
 /// Derives the straggler chain and per-phase skew from a finished report.
-/// Phase durations come from the report's phase spans when present and
-/// fall back to per-task wall times otherwise.
+/// Phase durations come from the report's phase spans; a phase with no span
+/// (reduce-phase of a map-only job) reads 0.
 CriticalPathReport CriticalPath(const JobReport& report);
 
 /// Human-readable per-job timeline: one line per phase/task span with a

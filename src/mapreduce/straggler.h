@@ -20,16 +20,6 @@ struct StragglerPolicy {
   int64_t min_elapsed_us = 10000;
 };
 
-/// One flagged attempt, as surfaced to the history log.
-struct StragglerFlag {
-  bool is_map = false;
-  int task = -1;
-  int attempt = -1;
-  int node = -1;
-  int64_t elapsed_us = 0;
-  int64_t median_us = 0;
-};
-
 /// Online straggler detection over completed-attempt durations, per phase
 /// (map vs reduce) — the observation half of Hadoop's speculative execution:
 /// we flag, a later PR may re-launch. Thread-safe; the poller probe calls

@@ -61,7 +61,7 @@ class TaskAttempt {
   /// completed-attempt median.
   int64_t start_us = -1;
   /// Set (under the runner lock) when the straggler detector flags the
-  /// attempt; keeps the gauge/counter/history event edge-triggered.
+  /// attempt; keeps the gauge and counters edge-triggered.
   bool straggler_flagged = false;
 
   // --- execution outcome ---------------------------------------------------

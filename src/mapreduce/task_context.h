@@ -90,7 +90,7 @@ class TaskContext {
 
   Counters* counters() { return counters_; }
 
-  /// The job's span sink, or null when tracing is off — pass directly to
+  /// The job's span sink, or null outside RunJob — pass directly to
   /// obs::Span, which treats null as "record nothing".
   obs::TraceRecorder* trace() { return trace_; }
 
@@ -130,17 +130,19 @@ class TaskContext {
   /// runs): `attempt` is the attempt-scoped tracker (freed when the attempt
   /// ends), `job` the per-(job, node) tracker that outlives attempts —
   /// allocations that survive the attempt (shared dim hash tables) charge
-  /// the job tracker instead. Both null when obs.mem.enabled is off.
+  /// the job tracker instead. RunJob always installs both; they stay null
+  /// only in a TaskContext built outside RunJob.
   void set_mem_trackers(std::shared_ptr<obs::MemTracker> attempt,
                         std::shared_ptr<obs::MemTracker> job) {
     mem_tracker_ = std::move(attempt);
     job_mem_tracker_ = std::move(job);
   }
-  /// Attempt-scoped tracker (null = tracking off).
+  /// Attempt-scoped tracker (null outside RunJob).
   const std::shared_ptr<obs::MemTracker>& mem_tracker() const {
     return mem_tracker_;
   }
-  /// Per-(job, node) tracker for attempt-outliving allocations (null = off).
+  /// Per-(job, node) tracker for attempt-outliving allocations (null outside
+  /// RunJob).
   const std::shared_ptr<obs::MemTracker>& job_mem_tracker() const {
     return job_mem_tracker_;
   }

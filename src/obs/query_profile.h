@@ -105,9 +105,9 @@ std::string ExplainAnalyzeText(const QueryProfile& profile);
 /// %.17g) — the payload run_benches.sh exports as BENCH_profile.json.
 std::string ExplainAnalyzeJson(const QueryProfile& profile);
 
-/// Flattened view for line-oriented serialization (job history JSONL): every
-/// node paired with its '>'-joined root-to-node path, pre-order, so
-/// rebuilding in order recreates the exact tree shape.
+/// Flattened view for line-oriented serialization: every node paired with
+/// its '>'-joined root-to-node path, pre-order, so rebuilding in order
+/// recreates the exact tree shape.
 struct FlatProfileNode {
   std::string path;
   const OperatorProfile* node;

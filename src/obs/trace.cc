@@ -71,7 +71,7 @@ size_t TraceRecorder::num_spans() const {
 Span::Span(TraceRecorder* recorder, std::string name, const char* category,
            int task, int node)
     : recorder_(recorder) {
-  if (recorder_ == nullptr) return;  // tracing off: near-zero cost
+  if (recorder_ == nullptr) return;  // no recorder: near-zero cost
   buffer_ = recorder_->BufferForThisThread();
   record_.name = std::move(name);
   record_.category = category;

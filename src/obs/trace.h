@@ -31,9 +31,8 @@ struct SpanRecord {
 /// recorder mutex is held once per thread, at buffer registration). Spans
 /// are unbounded in-memory; Drain() after all producers stopped.
 ///
-/// Disabled tracing is represented by a null recorder: Span's constructor
-/// against nullptr is a couple of stores, so instrumentation can stay in
-/// place unconditionally.
+/// Code that runs without a recorder (a TaskContext built outside RunJob)
+/// passes null: Span's constructor against nullptr is a couple of stores.
 class TraceRecorder {
  public:
   TraceRecorder();

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -299,7 +300,6 @@ TEST_F(EngineIntegrationTest, TracedRunEmitsSpansTimelineAndCriticalPath) {
   std::filesystem::create_directories(trace_dir);
 
   core::ClydesdaleOptions options;
-  options.obs.trace = true;
   options.obs.trace_dir = trace_dir;
   core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
   auto result = engine.Execute(*spec);
@@ -378,17 +378,42 @@ TEST_F(EngineIntegrationTest, TracedRunEmitsSpansTimelineAndCriticalPath) {
   EXPECT_GT(result->Counter(mr::kCounterHdfsReadOps), 0);
 }
 
-TEST_F(EngineIntegrationTest, TracingOffRecordsNoSpans) {
+TEST_F(EngineIntegrationTest, DefaultOptionsRecordSpansAndMemory) {
   auto spec = ssb::QueryById("Q1.1");
   ASSERT_TRUE(spec.ok());
-  core::ClydesdaleEngine engine(cluster_, dataset_->star, {});
-  auto result = engine.Execute(*spec);
-  ASSERT_TRUE(result.ok());
-  for (const mr::JobReport& report : result->stage_reports) {
-    EXPECT_TRUE(report.spans.empty());
-    // Histograms stay on regardless: they feed Summary() percentiles.
-    ASSERT_NE(report.histograms.Find(mr::kHistMapTaskMicros), nullptr);
-    EXPECT_GT(report.histograms.Find(mr::kHistMapTaskMicros)->Count(), 0);
+  core::ClydesdaleEngine clydesdale(cluster_, dataset_->star, {});
+  auto cly = clydesdale.Execute(*spec);
+  ASSERT_TRUE(cly.ok()) << cly.status().ToString();
+  hive::HiveOptions hive_options;
+  hive_options.strategy = hive::JoinStrategy::kMapJoin;
+  hive::HiveEngine hive(cluster_, HiveStar(), hive_options);
+  auto mapjoin = hive.Execute(*spec);
+  ASSERT_TRUE(mapjoin.ok()) << mapjoin.status().ToString();
+
+  // Every stage job of either engine carries its phase spans and memory
+  // peaks without any observability option set.
+  for (const core::QueryResult* result : {&*cly, &*mapjoin}) {
+    ASSERT_FALSE(result->stage_reports.empty());
+    for (const mr::JobReport& report : result->stage_reports) {
+      std::map<std::string, int64_t> phase_us;
+      for (const obs::SpanRecord& span : report.spans) {
+        if (std::string_view(span.category) == "phase") {
+          phase_us.emplace(span.name, span.dur_us);
+        }
+      }
+      for (const char* phase : {"setup", "map-phase", "commit"}) {
+        EXPECT_TRUE(phase_us.count(phase))
+            << report.job_name << " has no " << phase << " span";
+      }
+      EXPECT_DOUBLE_EQ(mr::CriticalPath(report).map_phase_seconds,
+                       static_cast<double>(phase_us["map-phase"]) * 1e-6)
+          << report.job_name;
+      EXPECT_GT(report.counters.Get(mr::kCounterMemJobPeakBytes), 0)
+          << report.job_name;
+      // Histograms feed Summary() percentiles.
+      ASSERT_NE(report.histograms.Find(mr::kHistMapTaskMicros), nullptr);
+      EXPECT_GT(report.histograms.Find(mr::kHistMapTaskMicros)->Count(), 0);
+    }
   }
 }
 
@@ -401,7 +426,6 @@ TEST_F(EngineIntegrationTest, HiveStagesEachEmitTraces) {
 
   hive::HiveOptions options;
   options.strategy = hive::JoinStrategy::kMapJoin;
-  options.obs.trace = true;
   options.obs.trace_dir = trace_dir;
   hive::HiveEngine engine(cluster_, HiveStar(), options);
   auto result = engine.Execute(*spec);

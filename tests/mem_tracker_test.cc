@@ -454,17 +454,6 @@ TEST(MemBudgetTest, MidJobBreachFailsCleanlyAndClusterRecovers) {
   EXPECT_GT(ok->report.counters.Get(kCounterMemNodePeakBytes), 0);
 }
 
-TEST(MemBudgetTest, TrackingDisabledRunsWithoutTrackersOrCounters) {
-  MrCluster cluster(TinyCluster());
-  WriteTinyFact(&cluster);
-  JobConf conf = HashBuildJob();
-  conf.SetBool(kConfMemTrackingEnabled, false);
-  auto result = RunJob(&cluster, conf);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(cluster.mem_tracker()->consumed(), 0);
-  EXPECT_EQ(result->report.counters.Get(kCounterMemJobPeakBytes), 0);
-}
-
 }  // namespace
 }  // namespace mr
 }  // namespace clydesdale

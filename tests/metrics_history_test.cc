@@ -15,8 +15,6 @@
 #include "mapreduce/cluster_metrics.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
-#include "mapreduce/job_history.h"
-#include "mapreduce/job_trace.h"
 #include "mapreduce/straggler.h"
 #include "mapreduce/task_attempt.h"
 #include "obs/mem_tracker.h"
@@ -439,15 +437,6 @@ class SlowFirstMapper final : public Mapper {
   }
 };
 
-class FailingMapper final : public Mapper {
- public:
-  Status Map(const Row&, const Row&, TaskContext* context,
-             OutputCollector*) override {
-    if (context->task_index() == 0) return Status::IoError("synthetic fault");
-    return Status::OK();
-  }
-};
-
 class SumCountsReducer final : public Reducer {
  public:
   Status Reduce(const Row& key, const std::vector<Row>& values, TaskContext*,
@@ -539,223 +528,6 @@ class MemHoldMapper final : public Mapper {
   std::shared_ptr<MemHoldState> state_;
 };
 
-/// Job-level phase/overlap spans of a live report — the subset the history
-/// mirrors, in the same order the loader reconstructs (start_us ascending).
-std::vector<obs::SpanRecord> PhaseSpans(const JobReport& report) {
-  std::vector<obs::SpanRecord> spans;
-  for (const obs::SpanRecord& span : report.spans) {
-    if (span.task != -1) continue;
-    const std::string category = span.category;
-    if (category != "phase" && category != "overlap") continue;
-    spans.push_back(span);
-  }
-  return spans;
-}
-
-// ---------------------------------------------------------------------------
-// JobHistory: recorder, persistence, byte-equivalent reconstruction
-// ---------------------------------------------------------------------------
-
-TEST(JobHistoryTest, RecorderSerializesOneEventPerLine) {
-  JobHistoryRecorder recorder("demo", /*instance=*/42);
-  recorder.RecordJobSubmitted(3, 8, 2);
-  recorder.RecordAttemptRunning(/*is_map=*/true, /*task=*/0, /*attempt=*/0,
-                                /*node=*/1);
-  TaskReport task;
-  task.index = 0;
-  task.node = 1;
-  task.wall_seconds = 0.125;
-  recorder.RecordAttemptFinished(task, "succeeded", "");
-  StragglerFlag flag;
-  flag.is_map = true;
-  flag.task = 0;
-  flag.node = 1;
-  flag.elapsed_us = 90'000;
-  flag.median_us = 30'000;
-  recorder.RecordStraggler(flag);
-  Counters counters;
-  counters.Add("MAP_INPUT_RECORDS", 7);
-  recorder.RecordCountersSnapshot("final", counters);
-  recorder.RecordPhase("map-phase", "phase", 10, 20);
-  JobReport report;
-  report.job_name = "demo";
-  report.num_nodes = 3;
-  report.wall_seconds = 0.5;
-  recorder.RecordJobFinished(Status::OK(), report);
-
-  // RecordJobFinished emits the "final" counters snapshot plus the
-  // job_finished event itself.
-  EXPECT_EQ(recorder.num_events(), 8u);
-  const std::string jsonl = recorder.Serialize();
-  size_t lines = 0;
-  for (char c : jsonl) lines += c == '\n';
-  EXPECT_EQ(lines, recorder.num_events());
-  EXPECT_NE(jsonl.find("\"event\":\"job_submitted\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"state\":\"running\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"event\":\"straggler\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"median_us\":30000"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"event\":\"job_finished\""), std::string::npos);
-}
-
-TEST(JobHistoryTest, ReconstructRejectsGarbage) {
-  EXPECT_FALSE(ReconstructJobReport("not json\n").ok());
-  EXPECT_FALSE(ReconstructJobReport("").ok());
-  // Parseable events but no job-level event: still an error.
-  EXPECT_FALSE(
-      ReconstructJobReport("{\"event\":\"straggler\",\"task\":1}\n").ok());
-}
-
-TEST(JobHistoryTest, HistoryRoundTripsByteEquivalentReport) {
-  MrCluster cluster(SmallCluster());
-  WriteWordTable(&cluster, 600);
-  JobConf conf = WordCountJob("/words", 2);
-  conf.SetBool(kConfTraceEnabled, true);
-  conf.SetBool(kConfHistoryEnabled, true);
-
-  auto result = RunJob(&cluster, conf);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const JobReport& live = result->report;
-
-  // First job on the cluster: instance 1, history on node 0's local store.
-  auto jsonl = ReadJobHistory(cluster.local_store(0), 1);
-  ASSERT_TRUE(jsonl.ok()) << jsonl.status().ToString();
-  auto rebuilt_or = ReconstructJobReport(*jsonl);
-  ASSERT_TRUE(rebuilt_or.ok()) << rebuilt_or.status().ToString();
-  const JobReport& rebuilt = *rebuilt_or;
-
-  EXPECT_EQ(rebuilt.job_name, live.job_name);
-  EXPECT_EQ(rebuilt.num_nodes, live.num_nodes);
-  // Counters round-trip byte-equivalent (same names, same totals).
-  EXPECT_EQ(rebuilt.counters.ToString(), live.counters.ToString());
-  // Wall clock is %.17g-encoded: the exact double comes back.
-  EXPECT_EQ(rebuilt.wall_seconds, live.wall_seconds);
-
-  // Per-task reports match field for field.
-  ASSERT_EQ(rebuilt.map_tasks.size(), live.map_tasks.size());
-  ASSERT_EQ(rebuilt.reduce_tasks.size(), live.reduce_tasks.size());
-  auto expect_tasks_equal = [](const std::vector<TaskReport>& got,
-                               const std::vector<TaskReport>& want) {
-    for (size_t i = 0; i < want.size(); ++i) {
-      SCOPED_TRACE(StrCat("task ", i));
-      EXPECT_EQ(got[i].index, want[i].index);
-      EXPECT_EQ(got[i].attempt, want[i].attempt);
-      EXPECT_EQ(got[i].is_map, want[i].is_map);
-      EXPECT_EQ(got[i].node, want[i].node);
-      EXPECT_EQ(got[i].hdfs_local_bytes, want[i].hdfs_local_bytes);
-      EXPECT_EQ(got[i].hdfs_remote_bytes, want[i].hdfs_remote_bytes);
-      EXPECT_EQ(got[i].local_disk_bytes, want[i].local_disk_bytes);
-      EXPECT_EQ(got[i].input_records, want[i].input_records);
-      EXPECT_EQ(got[i].output_records, want[i].output_records);
-      EXPECT_EQ(got[i].output_bytes, want[i].output_bytes);
-      EXPECT_EQ(got[i].shuffle_bytes_total, want[i].shuffle_bytes_total);
-      EXPECT_EQ(got[i].shuffle_bytes_remote, want[i].shuffle_bytes_remote);
-      EXPECT_EQ(got[i].data_local, want[i].data_local);
-      EXPECT_EQ(got[i].num_constituents, want[i].num_constituents);
-      EXPECT_EQ(got[i].wall_seconds, want[i].wall_seconds) << "exact double";
-    }
-  };
-  expect_tasks_equal(rebuilt.map_tasks, live.map_tasks);
-  expect_tasks_equal(rebuilt.reduce_tasks, live.reduce_tasks);
-
-  // Job-level phase spans come back with microsecond-exact timings, so the
-  // reconstructed critical path renders byte-identically to the live one.
-  const std::vector<obs::SpanRecord> live_phases = PhaseSpans(live);
-  ASSERT_EQ(rebuilt.spans.size(), live_phases.size());
-  ASSERT_FALSE(live_phases.empty()) << "traced run records phase spans";
-  for (size_t i = 0; i < live_phases.size(); ++i) {
-    EXPECT_EQ(rebuilt.spans[i].name, live_phases[i].name);
-    EXPECT_STREQ(rebuilt.spans[i].category, live_phases[i].category);
-    EXPECT_EQ(rebuilt.spans[i].start_us, live_phases[i].start_us);
-    EXPECT_EQ(rebuilt.spans[i].dur_us, live_phases[i].dur_us);
-  }
-  EXPECT_EQ(CriticalPath(rebuilt).ToString(), CriticalPath(live).ToString());
-}
-
-TEST(JobHistoryTest, QueryProfileRoundTripsByteEquivalent) {
-  MrCluster cluster(SmallCluster());
-  WriteWordTable(&cluster, 600);
-  JobConf conf = WordCountJob("/words", 2);
-  conf.SetBool(kConfHistoryEnabled, true);
-  conf.SetBool(kConfProfileEnabled, true);
-
-  auto result = RunJob(&cluster, conf);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const JobReport& live = result->report;
-  ASSERT_FALSE(live.profile.empty()) << "profiled run must carry a profile";
-
-  // The live tree has both task roots; the reduce root carries the shuffle
-  // child with the fetched-batch accounting.
-  ASSERT_EQ(live.profile.roots.size(), 2u);
-  const obs::OperatorProfile* reduce = nullptr;
-  for (const obs::OperatorProfile& root : live.profile.roots) {
-    if (root.name == "reduce") reduce = &root;
-  }
-  ASSERT_NE(reduce, nullptr);
-  ASSERT_FALSE(reduce->children.empty());
-  EXPECT_EQ(reduce->children[0].name, "shuffle");
-  EXPECT_GT(reduce->children[0].batches, 0u);
-
-  // Derived counters flushed at commit.
-  EXPECT_EQ(live.counters.Get(kCounterProfOperators),
-            static_cast<int64_t>(obs::NumProfileOperators(live.profile)));
-  EXPECT_GT(live.counters.Get(kCounterProfTasksProfiled), 0);
-
-  auto jsonl = ReadJobHistory(cluster.local_store(0), 1);
-  ASSERT_TRUE(jsonl.ok()) << jsonl.status().ToString();
-  EXPECT_NE(jsonl->find("\"event\":\"profile\""), std::string::npos);
-  EXPECT_NE(jsonl->find("\"event\":\"profile_span\""), std::string::npos);
-  auto rebuilt = ReconstructJobReport(*jsonl);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-
-  // Byte-equivalence: the reconstructed profile renders the identical
-  // EXPLAIN ANALYZE report, text and JSON.
-  EXPECT_EQ(rebuilt->profile.first_start_us, live.profile.first_start_us);
-  EXPECT_EQ(rebuilt->profile.last_end_us, live.profile.last_end_us);
-  EXPECT_EQ(obs::ExplainAnalyzeJson(rebuilt->profile),
-            obs::ExplainAnalyzeJson(live.profile));
-  EXPECT_EQ(obs::ExplainAnalyzeText(rebuilt->profile),
-            obs::ExplainAnalyzeText(live.profile));
-}
-
-TEST(JobHistoryTest, UnprofiledRunLogsNoProfileEvents) {
-  MrCluster cluster(SmallCluster());
-  WriteWordTable(&cluster, 300);
-  JobConf conf = WordCountJob("/words", 1);
-  conf.SetBool(kConfHistoryEnabled, true);
-
-  auto result = RunJob(&cluster, conf);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->report.profile.empty());
-
-  auto jsonl = ReadJobHistory(cluster.local_store(0), 1);
-  ASSERT_TRUE(jsonl.ok());
-  EXPECT_EQ(jsonl->find("\"event\":\"profile\""), std::string::npos);
-  auto rebuilt = ReconstructJobReport(*jsonl);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_TRUE(rebuilt->profile.empty());
-}
-
-TEST(JobHistoryTest, FailedJobStillWritesParseableHistory) {
-  MrCluster cluster(SmallCluster());
-  WriteWordTable(&cluster, 600);
-  JobConf conf = WordCountJob("/words", 1);
-  conf.job_name = "doomed";
-  conf.mapper_factory = [] { return std::make_unique<FailingMapper>(); };
-  conf.SetBool(kConfHistoryEnabled, true);
-
-  auto result = RunJob(&cluster, conf);
-  ASSERT_FALSE(result.ok()) << "FailingMapper must sink the job";
-
-  auto jsonl = ReadJobHistory(cluster.local_store(0), 1);
-  ASSERT_TRUE(jsonl.ok()) << "history persists on the failure path too: "
-                          << jsonl.status().ToString();
-  EXPECT_NE(jsonl->find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(jsonl->find("synthetic fault"), std::string::npos);
-  auto rebuilt = ReconstructJobReport(*jsonl);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  EXPECT_EQ(rebuilt->job_name, "doomed");
-}
-
 // ---------------------------------------------------------------------------
 // Live metrics + straggler detection, end to end
 // ---------------------------------------------------------------------------
@@ -768,8 +540,6 @@ TEST(MetricsIntegrationTest, SlowMapIsFlaggedAndGaugesSettle) {
   conf.mapper_factory = [] { return std::make_unique<SlowFirstMapper>(); };
   conf.SetBool(kConfMetricsEnabled, true);
   conf.SetInt(kConfMetricsIntervalMs, 2);
-  conf.SetBool(kConfHistoryEnabled, true);
-  conf.SetBool(kConfTraceEnabled, true);
   conf.SetDouble(kConfStragglerThreshold, 2.0);
   conf.SetInt(kConfStragglerMinCompleted, 3);
 
@@ -782,8 +552,8 @@ TEST(MetricsIntegrationTest, SlowMapIsFlaggedAndGaugesSettle) {
   for (const Row& row : result->output_rows) total += row.Get(1).i64();
   EXPECT_EQ(total, 600);
 
-  // The 250ms map was flagged: job counter, live gauge trajectory, monotone
-  // total, and a history event all agree.
+  // The 250ms map was flagged: job counter, live gauge trajectory and
+  // monotone total all agree.
   EXPECT_GE(report.counters.Get(kCounterStragglerAttempts), 1);
   ASSERT_FALSE(report.metrics_series.samples.empty());
   EXPECT_GE(report.metrics_series.MaxValue(kMetricStragglersRunning), 1)
@@ -827,12 +597,6 @@ TEST(MetricsIntegrationTest, SlowMapIsFlaggedAndGaugesSettle) {
       cluster.metrics()->shuffle_runs_published()->Value();
   EXPECT_GE(published, 1);
   EXPECT_EQ(cluster.metrics()->shuffle_runs_fetched()->Value(), published);
-
-  // The history log carries the straggler event with its evidence.
-  auto jsonl = ReadJobHistory(cluster.local_store(0), 1);
-  ASSERT_TRUE(jsonl.ok()) << jsonl.status().ToString();
-  EXPECT_NE(jsonl->find("\"event\":\"straggler\""), std::string::npos);
-  EXPECT_NE(jsonl->find("\"elapsed_us\":"), std::string::npos);
 }
 
 /// Every cly_mem_* family is sampled for every node, off trackers named by
@@ -889,8 +653,6 @@ TEST(MetricsIntegrationTest, MetricsOffKeepsRegistryQuiet) {
   EXPECT_EQ(cluster.metrics()->attempts_finished(true, "succeeded")->Value(),
             0);
   EXPECT_EQ(cluster.metrics()->shuffle_runs_published()->Value(), 0);
-  // And without kConfHistoryEnabled no history file appears.
-  EXPECT_FALSE(ReadJobHistory(cluster.local_store(0), 1).ok());
 }
 
 }  // namespace

@@ -358,26 +358,6 @@ JobReport SyntheticReport() {
   return report;
 }
 
-TEST(CriticalPathTest, FallsBackToTaskWallsWithoutSpans) {
-  const JobReport report = SyntheticReport();
-  const CriticalPathReport path = CriticalPath(report);
-  EXPECT_EQ(path.slowest_map, 1);
-  EXPECT_EQ(path.slowest_map_node, 2);
-  EXPECT_DOUBLE_EQ(path.slowest_map_seconds, 0.4);
-  EXPECT_NEAR(path.map_skew, 0.4 / 0.2, 1e-9);
-  EXPECT_EQ(path.slowest_reduce, 0);
-  EXPECT_EQ(path.slowest_reduce_node, 1);
-  EXPECT_NEAR(path.reduce_skew, 0.2 / 0.125, 1e-9);
-  // No phase spans: phase durations fall back to the slowest task.
-  EXPECT_DOUBLE_EQ(path.map_phase_seconds, 0.4);
-  EXPECT_DOUBLE_EQ(path.reduce_phase_seconds, 0.2);
-
-  const std::string s = path.ToString();
-  EXPECT_NE(s.find("m-1@node2"), std::string::npos) << s;
-  EXPECT_NE(s.find("shuffle barrier"), std::string::npos) << s;
-  EXPECT_NE(s.find("r-0@node1"), std::string::npos) << s;
-}
-
 TEST(CriticalPathTest, PrefersPhaseSpans) {
   JobReport report = SyntheticReport();
   auto phase = [](const char* name, int64_t start_us, int64_t dur_us) {
@@ -396,6 +376,27 @@ TEST(CriticalPathTest, PrefersPhaseSpans) {
   EXPECT_DOUBLE_EQ(path.map_phase_seconds, 0.45);
   EXPECT_DOUBLE_EQ(path.reduce_phase_seconds, 0.3);
   EXPECT_DOUBLE_EQ(path.commit_seconds, 0.1);
+}
+
+TEST(CriticalPathTest, FallsBackToTaskWallsWithoutSpans) {
+  const JobReport report = SyntheticReport();
+  const CriticalPathReport path = CriticalPath(report);
+  // The straggler chain and skew come from the task wall times alone.
+  EXPECT_EQ(path.slowest_map, 1);
+  EXPECT_EQ(path.slowest_map_node, 2);
+  EXPECT_DOUBLE_EQ(path.slowest_map_seconds, 0.4);
+  EXPECT_NEAR(path.map_skew, 0.4 / 0.2, 1e-9);
+  EXPECT_EQ(path.slowest_reduce, 0);
+  EXPECT_EQ(path.slowest_reduce_node, 1);
+  EXPECT_NEAR(path.reduce_skew, 0.2 / 0.125, 1e-9);
+  // Phase durations come only from phase spans: with none, each reads 0.
+  EXPECT_DOUBLE_EQ(path.map_phase_seconds, 0);
+  EXPECT_DOUBLE_EQ(path.reduce_phase_seconds, 0);
+
+  const std::string s = path.ToString();
+  EXPECT_NE(s.find("m-1@node2"), std::string::npos) << s;
+  EXPECT_NE(s.find("shuffle barrier"), std::string::npos) << s;
+  EXPECT_NE(s.find("r-0@node1"), std::string::npos) << s;
 }
 
 TEST(CriticalPathTest, MapOnlyJobHasNoReduceLeg) {

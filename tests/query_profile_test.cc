@@ -1,8 +1,8 @@
 // Per-operator query-profiler tests: tree merge semantics (additive
 // counters, wall maxima, children matched by name), the EXPLAIN ANALYZE
-// text/JSON renderers, the flatten/rebuild round trip job history relies
-// on, ScanStats folding, and end-to-end profiles of map-only CIF scan jobs
-// proving the scan counters survive the per-task -> job merge loss-free.
+// text/JSON renderers, the flatten/rebuild round trip, ScanStats folding,
+// and end-to-end profiles of map-only CIF scan jobs proving the scan
+// counters survive the per-task -> job merge loss-free.
 
 #include <gtest/gtest.h>
 

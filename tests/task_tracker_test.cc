@@ -238,7 +238,6 @@ TEST(TaskTrackerTest, PipelinedReducersFetchWhileMapsStillRun) {
   MrCluster cluster(SmallCluster());
   WriteWordTable(&cluster, 600);
   JobConf conf = WordCountJob("/words", 2);
-  conf.SetBool(kConfTraceEnabled, true);
   // Slow maps in several waves: early runs are published (and fetched) while
   // later waves are still occupying the map slots.
   conf.mapper_factory = [] { return std::make_unique<WordCountMapper>(15); };
