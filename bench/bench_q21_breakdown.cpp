@@ -8,7 +8,6 @@
 #include <cstring>
 
 #include "bench_common.h"
-#include "common/stopwatch.h"
 #include "core/clydesdale.h"
 #include "mapreduce/job_trace.h"
 #include "obs/query_profile.h"
@@ -95,24 +94,26 @@ int main() {
               "(paper: ~70x, ~82x)\n",
               mj->seconds / cly->seconds, rp->seconds / cly->seconds);
 
-  // With CLY_TRACE_DIR set, re-run Q2.1 through the functional engine with
-  // the full observability stack on: the always-recorded spans land there
-  // as a Chrome trace (chrome://tracing / Perfetto) + plain-text timeline,
-  // and the live metrics layer adds the Prometheus snapshot (.prom),
-  // sampled metrics time series (.metrics.json) and text cluster dashboard
-  // (.dashboard.txt) — the measured counterpart of the modeled breakdown
-  // above. run_benches.sh publishes the artifacts.
+  // With CLY_TRACE_DIR or CLY_MEMORY_JSON set, re-run Q2.1 once through the
+  // functional engine with the full observability stack on: the measured
+  // counterpart of the modeled breakdown above. With CLY_TRACE_DIR the job
+  // writes its one bundle there (<job>-<instance>.trace.json: the Chrome
+  // trace for chrome://tracing / Perfetto, plus "profile" and "metrics"),
+  // which run_benches.sh publishes as BENCH_q21.json.
   const char* trace_dir = std::getenv("CLY_TRACE_DIR");
-  if (trace_dir != nullptr && trace_dir[0] != '\0') {
+  const char* memory_json = std::getenv("CLY_MEMORY_JSON");
+  const bool traced = trace_dir != nullptr && trace_dir[0] != '\0';
+  const bool memory = memory_json != nullptr && memory_json[0] != '\0';
+  if (traced || memory) {
     core::ClydesdaleOptions copts;
-    copts.obs.trace_dir = trace_dir;
+    if (traced) copts.obs.trace_dir = trace_dir;
     copts.obs.metrics = true;
     copts.obs.profile = true;
     core::ClydesdaleEngine engine(env.cluster.get(), env.dataset.star, copts);
-    auto traced = engine.Execute(*query);
-    CLY_CHECK(traced.ok());
-    const mr::JobReport& report = traced->stage_reports[0];
-    std::printf("\ntraced functional run (SF%g): %s\n",
+    auto run = engine.Execute(*query);
+    CLY_CHECK(run.ok());
+    const mr::JobReport& report = run->stage_reports[0];
+    std::printf("\nobserved functional run (SF%g): %s\n",
                 MeasurementScaleFactor(),
                 mr::CriticalPath(report).ToString().c_str());
     std::printf("live metrics: %zu samples, %lld straggler flag(s)\n",
@@ -144,84 +145,50 @@ int main() {
     CLY_CHECK(span_s >= 0.95 * report.wall_seconds - 0.002);
 
     std::printf("\n%s\n", obs::ExplainAnalyzeText(profile).c_str());
-    std::printf("trace + metrics + profile artifacts written to %s\n",
-                trace_dir);
+    if (traced) std::printf("trace bundle written to %s\n", trace_dir);
 
-    // Profiler overhead A/B (acceptance: <=3% with the knob on at bench
-    // scale, exactly zero instrumentation when off). Min-of-3 untraced runs
-    // per arm so scheduler noise doesn't masquerade as overhead.
-    double wall_off = 0, wall_on = 0;
-    for (int arm = 0; arm < 2; ++arm) {
-      double best = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        core::ClydesdaleOptions plain;
-        plain.obs.profile = (arm == 1);
-        core::ClydesdaleEngine ab(env.cluster.get(), env.dataset.star, plain);
-        Stopwatch timer;
-        auto run = ab.Execute(*query);
-        const double secs = timer.ElapsedSeconds();
-        CLY_CHECK(run.ok());
-        if (arm == 0) CLY_CHECK(run->stage_reports[0].profile.empty());
-        if (rep == 0 || secs < best) best = secs;
+    // With CLY_MEMORY_JSON set, report the hierarchical memory accounting
+    // of the same run: each operator's peak resident bytes (dim tables,
+    // scan arenas, partial aggregates, shuffle runs) and the job peak. Both
+    // land in BENCH_memory.json via run_benches.sh.
+    if (memory) {
+      const char* ops[] = {"scan:", "probe", "aggregate", "shuffle"};
+      const char* keys[] = {"scan", "probe", "aggregate", "shuffle"};
+      uint64_t peaks[4] = {0, 0, 0, 0};
+      std::printf("\npeak memory per operator (tracked, Q2.1):\n");
+      for (int i = 0; i < 4; ++i) {
+        const obs::OperatorProfile* node = nullptr;
+        for (const obs::OperatorProfile& root : profile.roots) {
+          if ((node = FindNode(root, ops[i])) != nullptr) break;
+        }
+        CLY_CHECK(node != nullptr);
+        // Acceptance: every memory-bearing operator reports a real footprint.
+        CLY_CHECK(node->mem_peak_bytes > 0);
+        CLY_CHECK(node->mem_peak_bytes >= node->mem_current_bytes);
+        peaks[i] = node->mem_peak_bytes;
+        std::printf("  %-10s %10.1f KiB peak (%.1f KiB still resident at "
+                    "task end)\n",
+                    keys[i], node->mem_peak_bytes / 1024.0,
+                    node->mem_current_bytes / 1024.0);
       }
-      (arm == 0 ? wall_off : wall_on) = best;
-    }
-    std::printf("profiler overhead: off=%.3fs on=%.3fs (%+.2f%%)\n", wall_off,
-                wall_on, 100.0 * (wall_on - wall_off) / wall_off);
-  }
+      const int64_t job_peak = run->Counter(mr::kCounterMemJobPeakBytes);
+      CLY_CHECK(job_peak > 0);
+      std::printf("  job peak (sum of per-node trackers): %.1f KiB\n",
+                  job_peak / 1024.0);
 
-  // With CLY_MEMORY_JSON set, report the hierarchical memory accounting on
-  // the functional engine: a profiled Q2.1 reports each operator's peak
-  // resident bytes (dim tables, scan arenas, partial aggregates, shuffle
-  // runs) and the job peak. Both land in BENCH_memory.json via
-  // run_benches.sh.
-  const char* memory_json = std::getenv("CLY_MEMORY_JSON");
-  if (memory_json != nullptr && memory_json[0] != '\0') {
-    core::ClydesdaleOptions mopts;
-    mopts.obs.profile = true;
-    core::ClydesdaleEngine engine(env.cluster.get(), env.dataset.star, mopts);
-    auto run = engine.Execute(*query);
-    CLY_CHECK(run.ok());
-    const obs::QueryProfile& profile = run->stage_reports[0].profile;
-    CLY_CHECK(!profile.empty());
-
-    const char* ops[] = {"scan:", "probe", "aggregate", "shuffle"};
-    const char* keys[] = {"scan", "probe", "aggregate", "shuffle"};
-    uint64_t peaks[4] = {0, 0, 0, 0};
-    std::printf("\npeak memory per operator (tracked, Q2.1):\n");
-    for (int i = 0; i < 4; ++i) {
-      const obs::OperatorProfile* node = nullptr;
-      for (const obs::OperatorProfile& root : profile.roots) {
-        if ((node = FindNode(root, ops[i])) != nullptr) break;
+      std::FILE* out = std::fopen(memory_json, "w");
+      CLY_CHECK(out != nullptr);
+      std::fprintf(out, "{\n  \"operator_peak_bytes\": {\n");
+      for (int i = 0; i < 4; ++i) {
+        std::fprintf(out, "    \"%s\": %llu%s\n", keys[i],
+                     static_cast<unsigned long long>(peaks[i]),
+                     i < 3 ? "," : "");
       }
-      CLY_CHECK(node != nullptr);
-      // Acceptance: every memory-bearing operator reports a real footprint.
-      CLY_CHECK(node->mem_peak_bytes > 0);
-      CLY_CHECK(node->mem_peak_bytes >= node->mem_current_bytes);
-      peaks[i] = node->mem_peak_bytes;
-      std::printf("  %-10s %10.1f KiB peak (%.1f KiB still resident at "
-                  "task end)\n",
-                  keys[i], node->mem_peak_bytes / 1024.0,
-                  node->mem_current_bytes / 1024.0);
+      std::fprintf(out, "  },\n  \"job_peak_bytes\": %lld\n}\n",
+                   static_cast<long long>(job_peak));
+      std::fclose(out);
+      std::printf("wrote %s\n", memory_json);
     }
-    const int64_t job_peak =
-        run->Counter(mr::kCounterMemJobPeakBytes);
-    CLY_CHECK(job_peak > 0);
-    std::printf("  job peak (sum of per-node trackers): %.1f KiB\n",
-                job_peak / 1024.0);
-
-    std::FILE* out = std::fopen(memory_json, "w");
-    CLY_CHECK(out != nullptr);
-    std::fprintf(out, "{\n  \"operator_peak_bytes\": {\n");
-    for (int i = 0; i < 4; ++i) {
-      std::fprintf(out, "    \"%s\": %llu%s\n", keys[i],
-                   static_cast<unsigned long long>(peaks[i]),
-                   i < 3 ? "," : "");
-    }
-    std::fprintf(out, "  },\n  \"job_peak_bytes\": %lld\n}\n",
-                 static_cast<long long>(job_peak));
-    std::fclose(out);
-    std::printf("wrote %s\n", memory_json);
   }
 
   return 0;

@@ -145,11 +145,11 @@ EOF
   echo "wrote ${SERVING_JSON} (cold vs warm serving closed loop)"
 fi
 
-# Traced Q2.1 breakdown: publish the artifacts the observability layer
-# emits — Chrome trace + timeline (load the .trace.json in chrome://tracing
-# or https://ui.perfetto.dev for the per-stage drill-down), the Prometheus
-# metrics snapshot, the sampled metrics time series, and the text cluster
-# dashboard.
+# Traced Q2.1 breakdown: publish the job's one observability artifact as
+# BENCH_q21.json. It is a Chrome trace (load it in chrome://tracing or
+# https://ui.perfetto.dev for the per-stage drill-down) whose "profile"
+# member is the EXPLAIN ANALYZE tree and whose "metrics" member is the
+# sampled live-metrics series.
 Q21_BIN="${BENCH_DIR}/bench_q21_breakdown"
 if [ -x "${Q21_BIN}" ]; then
   TRACE_DIR="${TMP_DIR}/q21_trace"
@@ -186,51 +186,31 @@ if data["job_peak_bytes"] <= 0:
 print(f"{path}: job peak {data['job_peak_bytes'] / 1024:.1f} KiB")
 EOF
   echo "wrote ${MEMORY_JSON} (per-operator and job memory peaks)"
-  for f in "${TRACE_DIR}"/*.trace.json; do
-    [ -e "${f}" ] || continue
-    cp "${f}" "${OUT_DIR}/BENCH_q21.trace.json"
-    echo "wrote ${OUT_DIR}/BENCH_q21.trace.json"
-  done
-  for f in "${TRACE_DIR}"/*.timeline.txt; do
-    [ -e "${f}" ] || continue
-    cp "${f}" "${OUT_DIR}/BENCH_q21.timeline.txt"
-    echo "wrote ${OUT_DIR}/BENCH_q21.timeline.txt"
-  done
-  # Live-metrics artifacts (the traced run enables obs.metrics, so one of
-  # each lands per stage job; the star-join job is the first and only stage
-  # for Q2.1).
-  for ext in prom metrics.json dashboard.txt; do
-    for f in "${TRACE_DIR}"/*."${ext}"; do
-      [ -e "${f}" ] || continue
-      cp "${f}" "${OUT_DIR}/BENCH_q21.${ext}"
-      echo "wrote ${OUT_DIR}/BENCH_q21.${ext}"
-    done
-  done
-  # EXPLAIN ANALYZE: the traced run profiles every operator, so the engine
-  # drops <job>-<n>.profile.{json,txt} next to the trace. Publish them and
-  # fail loudly if the per-operator contract (DESIGN.md §13) loses fields.
-  PROFILE_JSON=""
-  for f in "${TRACE_DIR}"/*.profile.json; do
-    [ -e "${f}" ] || continue
-    PROFILE_JSON="${OUT_DIR}/BENCH_profile.json"
-    cp "${f}" "${PROFILE_JSON}"
-    echo "wrote ${PROFILE_JSON}"
-  done
-  for f in "${TRACE_DIR}"/*.profile.txt; do
-    [ -e "${f}" ] || continue
-    cp "${f}" "${OUT_DIR}/BENCH_profile.txt"
-    echo "wrote ${OUT_DIR}/BENCH_profile.txt"
-  done
-  if [ -z "${PROFILE_JSON}" ]; then
-    echo "error: traced bench_q21_breakdown wrote no .profile.json" >&2
+  # Q2.1 is one star-join job, so the traced run leaves exactly one bundle.
+  TRACE_FILES=("${TRACE_DIR}"/*)
+  if [ "${#TRACE_FILES[@]}" -ne 1 ] || [[ "${TRACE_FILES[0]}" != *.trace.json ]]; then
+    echo "error: traced bench_q21_breakdown must write exactly one" \
+         ".trace.json into ${TRACE_DIR}" >&2
     exit 1
   fi
-  python3 - "${PROFILE_JSON}" <<'EOF'
+  Q21_JSON="${OUT_DIR}/BENCH_q21.json"
+  cp "${TRACE_FILES[0]}" "${Q21_JSON}"
+  # Fail loudly if the bundle loses its trace or metrics, or the
+  # per-operator profile contract (DESIGN.md §13) loses fields.
+  python3 - "${Q21_JSON}" <<'EOF'
 import json
 import sys
 
 path = sys.argv[1]
-data = json.loads(open(path).read())
+bundle = json.loads(open(path).read())
+for key in ("traceEvents", "profile", "metrics"):
+    if key not in bundle:
+        sys.exit(f"error: {path} lacks the bundle member '{key}'")
+if not bundle["traceEvents"]:
+    sys.exit(f"error: {path} has no trace events")
+if not bundle["metrics"].get("samples"):
+    sys.exit(f"error: {path} has no metrics samples")
+data = bundle["profile"]
 missing = [k for k in ("wall_seconds", "profiled_span_seconds",
                        "first_start_us", "last_end_us", "operators", "roots")
            if k not in data]
@@ -259,8 +239,11 @@ if missing:
 for kind in ("scan", "probe", "aggregate"):
     if kind not in kinds:
         sys.exit(f"error: {path} has no '{kind}' operator in the plan tree")
-print(f"{path}: {data['operators']} operators, "
+print(f"{path}: {len(bundle['traceEvents'])} trace events, "
+      f"{len(bundle['metrics']['samples'])} metrics samples, "
+      f"{data['operators']} operators, "
       f"profiled span {data['profiled_span_seconds']:.3f}s "
       f"of {data['wall_seconds']:.3f}s wall")
 EOF
+  echo "wrote ${Q21_JSON} (trace + profile + metrics bundle)"
 fi

@@ -40,8 +40,7 @@ Result<core::QueryResult> HiveEngine::Execute(const core::StarQuerySpec& spec) {
           std::string hash_file,
           BuildMapJoinHashFile(cluster_, stage, StrCat(scratch, "/", spec.id),
                                &hash_bytes));
-      CLY_ASSIGN_OR_RETURN(conf,
-                           MakeMapJoinJob(stage, hash_file, options_.dim_cache));
+      CLY_ASSIGN_OR_RETURN(conf, MakeMapJoinJob(stage, hash_file));
     }
     conf.job_name = StrCat("hive-", spec.id, "-", conf.job_name);
     mr::ApplyObsOptions(options_.obs, &conf);

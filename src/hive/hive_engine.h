@@ -23,11 +23,6 @@ struct HiveOptions {
   /// traced Clydesdale run of the same query yield directly comparable
   /// Chrome traces.
   mr::ObsOptions obs;
-  /// Serving-mode cross-query dim-table cache, mirroring
-  /// ClydesdaleOptions::dim_cache: mapjoin stages share built broadcast
-  /// tables across queries instead of reloading them per task. Null (the
-  /// default) keeps the paper's per-task reload baseline.
-  std::shared_ptr<core::DimTableCache> dim_cache;
 };
 
 /// The Hive baseline (paper §6.1): compiles a star query into a chain of

@@ -2,7 +2,6 @@
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "mapreduce/counters.h"
 #include "mapreduce/input_format.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
@@ -81,49 +80,24 @@ Status MapJoinMapper::Setup(mr::TaskContext* context) {
   profiled_ = context->profile_enabled();
   Stopwatch load_timer;
   const int64_t load_cpu0 = profiled_ ? obs::ThreadCpuNanos() : 0;
-  // Deserializing the broadcast copy and building the table; counters fire
-  // only when the load actually runs, so a cache-warm task carries none.
-  auto load = [&](const std::shared_ptr<obs::MemTracker>& tracker)
-      -> Result<std::shared_ptr<const core::DimHashTable>> {
-    CLY_ASSIGN_OR_RETURN(std::string local_path,
-                         context->CacheFilePath(hash_file_));
-    CLY_ASSIGN_OR_RETURN(hdfs::BlockBuffer bytes,
-                         context->local_store()->Read(local_path));
-    context->AddLocalDiskBytes(bytes->size());
+  CLY_ASSIGN_OR_RETURN(std::string local_path,
+                       context->CacheFilePath(hash_file_));
+  CLY_ASSIGN_OR_RETURN(hdfs::BlockBuffer bytes,
+                       context->local_store()->Read(local_path));
+  context->AddLocalDiskBytes(bytes->size());
 
-    CLY_ASSIGN_OR_RETURN(SchemaPtr hash_schema, HashFileSchema(spec_));
-    std::vector<std::string> aux = spec_.aux_cols;
-    CLY_ASSIGN_OR_RETURN(
-        std::shared_ptr<const core::DimHashTable> built,
-        core::DimHashTable::Build(*hash_schema, bytes->data(), bytes->size(),
-                                  *Predicate::True(),
-                                  hash_schema->field(0).name, aux, tracker));
-    context->counters()->Add(kCounterMapJoinHashLoads, 1);
-    context->counters()->Add(kCounterMapJoinHashEntries,
-                             static_cast<int64_t>(built->entries()));
-    context->counters()->Add(
-        kCounterMapJoinHashBytes,
-        static_cast<int64_t>(built->stats().memory_bytes));
-    return built;
-  };
-  if (cache_ != nullptr) {
-    // The broadcast file's contents are a pure function of (dimension table,
-    // its version, the stage's filter shape), so the cache keys on those —
-    // a repeated Hive query shares the table across jobs and skips the
-    // per-task reload the paper charges to the baseline.
-    core::DimCacheKey key;
-    key.table_path = spec_.dim_table;
-    key.version = context->cluster()->table_version(spec_.dim_table);
-    key.filter_fingerprint = core::FilterFingerprint(
-        *spec_.dim_predicate, spec_.dim_pk, spec_.aux_cols);
-    bool hit = false;
-    CLY_ASSIGN_OR_RETURN(table_, cache_->GetOrBuild(key, load, &hit));
-    mr::AddDimCacheCounters(hit ? 1 : 0, hit ? 0 : 1, /*evictions=*/0,
-                            cache_->stats().resident_bytes,
-                            context->counters());
-  } else {
-    CLY_ASSIGN_OR_RETURN(table_, load(context->mem_tracker()));
-  }
+  CLY_ASSIGN_OR_RETURN(SchemaPtr hash_schema, HashFileSchema(spec_));
+  CLY_ASSIGN_OR_RETURN(
+      table_, core::DimHashTable::Build(*hash_schema, bytes->data(),
+                                        bytes->size(), *Predicate::True(),
+                                        hash_schema->field(0).name,
+                                        spec_.aux_cols, context->mem_tracker()));
+  context->counters()->Add(kCounterMapJoinHashLoads, 1);
+  context->counters()->Add(kCounterMapJoinHashEntries,
+                           static_cast<int64_t>(table_->entries()));
+  context->counters()->Add(
+      kCounterMapJoinHashBytes,
+      static_cast<int64_t>(table_->stats().memory_bytes));
   if (profiled_) {
     hash_load_wall_ns_ = static_cast<uint64_t>(load_timer.ElapsedNanos());
     hash_load_cpu_ns_ =
@@ -191,8 +165,7 @@ Status MapJoinMapper::Cleanup(mr::TaskContext* context,
 }
 
 Result<mr::JobConf> MakeMapJoinJob(const JoinStageSpec& spec,
-                                   const std::string& hash_file,
-                                   std::shared_ptr<core::DimTableCache> cache) {
+                                   const std::string& hash_file) {
   mr::JobConf conf;
   conf.job_name = StrCat("hive-mapjoin", spec.stage_index + 1);
   conf.num_reduce_tasks = 0;  // map-only
@@ -205,8 +178,8 @@ Result<mr::JobConf> MakeMapJoinJob(const JoinStageSpec& spec,
   };
   const JoinStageSpec captured = spec;
   const std::string captured_hash = hash_file;
-  conf.mapper_factory = [captured, captured_hash, cache] {
-    return std::make_unique<MapJoinMapper>(captured, captured_hash, cache);
+  conf.mapper_factory = [captured, captured_hash] {
+    return std::make_unique<MapJoinMapper>(captured, captured_hash);
   };
   conf.Set(mr::kConfOutputTable, spec.output_table);
   conf.Set(mr::kConfOutputColumns, spec.output_columns_decl);

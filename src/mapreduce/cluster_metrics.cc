@@ -9,7 +9,7 @@ namespace mr {
 
 std::vector<std::string> StandardMetricFamilyNames() {
   std::vector<std::string> names;
-#define CLY_LIST_FAMILY(id, name, group, kind, labels, help) names.push_back(id);
+#define CLY_LIST_FAMILY(id, name, group, kind, labels) names.push_back(id);
   CLY_MR_METRIC_FAMILIES(CLY_LIST_FAMILY)
 #undef CLY_LIST_FAMILY
   return names;
@@ -17,19 +17,18 @@ std::vector<std::string> StandardMetricFamilyNames() {
 
 std::vector<std::string> MetricFamilyNames(MetricGroup group) {
   std::vector<std::string> names;
-#define CLY_LIST_FAMILY(id, name, row_group, kind, labels, help) \
+#define CLY_LIST_FAMILY(id, name, row_group, kind, labels) \
   if (MetricGroup::row_group == group) names.push_back(id);
   CLY_MR_METRIC_FAMILIES(CLY_LIST_FAMILY)
 #undef CLY_LIST_FAMILY
   return names;
 }
 
-ClusterMetrics::ClusterMetrics(obs::MetricsRegistry* registry, int num_nodes)
-    : registry_(registry) {
+ClusterMetrics::ClusterMetrics(obs::MetricsRegistry* registry, int num_nodes) {
   std::map<std::string, obs::MetricFamily*> families;
-#define CLY_REGISTER_FAMILY(id, name, group, kind, labels, help)          \
+#define CLY_REGISTER_FAMILY(id, name, group, kind, labels)                \
   families[id] = registry->Family(                                        \
-      id, help, obs::MetricKind::kind,                                    \
+      id, obs::MetricKind::kind,                                          \
       *labels == '\0' ? std::vector<std::string>{} : StrSplit(labels, ','));
   CLY_MR_METRIC_FAMILIES(CLY_REGISTER_FAMILY)
 #undef CLY_REGISTER_FAMILY

@@ -11,7 +11,6 @@ namespace mr {
 
 // Conf keys gating the live-observability subsystem.
 inline constexpr const char kConfMetricsEnabled[] = "obs.metrics.enabled";
-inline constexpr const char kConfMetricsIntervalMs[] = "obs.metrics.interval_ms";
 inline constexpr const char kConfStragglerThreshold[] = "obs.straggler.threshold";
 inline constexpr const char kConfStragglerMinCompleted[] =
     "obs.straggler.min_completed";
@@ -29,54 +28,62 @@ enum class MetricGroup {
 
 // Every metric family the mapreduce layer exposes (what the Hadoop
 // JobTracker UI would scrape), declared once: X(constant, exposed name,
-// group, kind, comma-separated label keys, help). The kMetric* constants,
-// StandardMetricFamilyNames() and the ClusterMetrics registrations all
-// expand from this table.
+// group, kind, comma-separated label keys), with what it measures in the
+// comment above it. The kMetric* constants, StandardMetricFamilyNames() and
+// the ClusterMetrics registrations all expand from this table.
 //
 // kMem: current and high-water tracked bytes per node, and the same summed
 // over every job tracker currently parented under that node. kCache: the
 // cross-query dim-table cache's resident bytes and entry count, sampled
 // through MrCluster's cache stats probe; zero unless a query server is
 // attached.
-#define CLY_MR_METRIC_FAMILIES(X)                                             \
-  X(kMetricRunningMaps, "mr_running_map_tasks", kExecutor, kGauge, "node",    \
-    "Map task attempts running on each node")                                 \
-  X(kMetricRunningReduces, "mr_running_reduce_tasks", kExecutor, kGauge,      \
-    "node", "Reduce task attempts running on each node")                      \
-  X(kMetricQueuedMaps, "mr_queued_map_attempts", kExecutor, kGauge, "",       \
-    "Map attempts queued and not yet claimed by a tracker")                   \
-  X(kMetricQueuedReduces, "mr_queued_reduce_attempts", kExecutor, kGauge, "", \
-    "Reduce attempts queued and not yet claimed by a tracker")                \
-  X(kMetricAttemptsFinished, "mr_task_attempts_finished_total", kExecutor,    \
-    kCounter, "kind,outcome", "Task attempts finished by kind and outcome")   \
-  X(kMetricAttemptDuration, "mr_task_attempt_duration_micros", kExecutor,     \
-    kHistogram, "kind", "Task attempt wall time in microseconds")             \
-  X(kMetricShuffleRunsPublished, "mr_shuffle_runs_published_total",           \
-    kExecutor, kCounter, "", "Sorted shuffle runs published by map attempts") \
-  X(kMetricShuffleRunsFetched, "mr_shuffle_runs_fetched_total", kExecutor,    \
-    kCounter, "", "Shuffle runs fetched by reduce attempts")                  \
-  X(kMetricShuffleBytesInflight, "mr_shuffle_bytes_inflight", kExecutor,      \
-    kGauge, "", "Shuffle bytes published but not yet fetched")                \
-  X(kMetricStragglersRunning, "mr_straggler_attempts_running", kExecutor,     \
-    kGauge, "", "Running attempts currently flagged as stragglers")           \
-  X(kMetricStragglersTotal, "mr_straggler_attempts_total", kExecutor,         \
-    kCounter, "", "Attempts ever flagged as stragglers")                      \
-  X(kMetricJobsRunning, "mr_jobs_running", kExecutor, kGauge, "",             \
-    "Jobs currently executing")                                               \
-  X(kMetricMemNodeBytes, "cly_mem_node_bytes", kMem, kGauge, "node",          \
-    "Tracked memory bytes resident on each node")                             \
-  X(kMetricMemNodePeakBytes, "cly_mem_node_peak_bytes", kMem, kGauge, "node", \
-    "High-water tracked memory bytes on each node")                           \
-  X(kMetricMemJobBytes, "cly_mem_job_bytes", kMem, kGauge, "node",            \
-    "Tracked memory bytes of running jobs on each node")                      \
-  X(kMetricMemJobPeakBytes, "cly_mem_job_peak_bytes", kMem, kGauge, "node",   \
-    "High-water tracked memory bytes of jobs on each node")                   \
-  X(kMetricCacheBytes, "cly_cache_bytes", kCache, kGauge, "",                 \
-    "Resident bytes in the cross-query dim-table cache")                      \
-  X(kMetricCacheEntries, "cly_cache_entries", kCache, kGauge, "",             \
-    "Resident entries in the cross-query dim-table cache")
+#define CLY_MR_METRIC_FAMILIES(X)                                              \
+  /* Map task attempts running on each node */                                 \
+  X(kMetricRunningMaps, "mr_running_map_tasks", kExecutor, kGauge, "node")     \
+  /* Reduce task attempts running on each node */                              \
+  X(kMetricRunningReduces, "mr_running_reduce_tasks", kExecutor, kGauge,       \
+    "node")                                                                    \
+  /* Map attempts queued and not yet claimed by a tracker */                   \
+  X(kMetricQueuedMaps, "mr_queued_map_attempts", kExecutor, kGauge, "")        \
+  /* Reduce attempts queued and not yet claimed by a tracker */                \
+  X(kMetricQueuedReduces, "mr_queued_reduce_attempts", kExecutor, kGauge, "")  \
+  /* Task attempts finished by kind and outcome */                             \
+  X(kMetricAttemptsFinished, "mr_task_attempts_finished_total", kExecutor,     \
+    kCounter, "kind,outcome")                                                  \
+  /* Task attempt wall time in microseconds */                                 \
+  X(kMetricAttemptDuration, "mr_task_attempt_duration_micros", kExecutor,      \
+    kHistogram, "kind")                                                        \
+  /* Sorted shuffle runs published by map attempts */                          \
+  X(kMetricShuffleRunsPublished, "mr_shuffle_runs_published_total",            \
+    kExecutor, kCounter, "")                                                   \
+  /* Shuffle runs fetched by reduce attempts */                                \
+  X(kMetricShuffleRunsFetched, "mr_shuffle_runs_fetched_total", kExecutor,     \
+    kCounter, "")                                                              \
+  /* Shuffle bytes published but not yet fetched */                            \
+  X(kMetricShuffleBytesInflight, "mr_shuffle_bytes_inflight", kExecutor,       \
+    kGauge, "")                                                                \
+  /* Running attempts currently flagged as stragglers */                       \
+  X(kMetricStragglersRunning, "mr_straggler_attempts_running", kExecutor,      \
+    kGauge, "")                                                                \
+  /* Attempts ever flagged as stragglers */                                    \
+  X(kMetricStragglersTotal, "mr_straggler_attempts_total", kExecutor,          \
+    kCounter, "")                                                              \
+  /* Jobs currently executing */                                               \
+  X(kMetricJobsRunning, "mr_jobs_running", kExecutor, kGauge, "")              \
+  /* Tracked memory bytes resident on each node */                             \
+  X(kMetricMemNodeBytes, "cly_mem_node_bytes", kMem, kGauge, "node")           \
+  /* High-water tracked memory bytes on each node */                           \
+  X(kMetricMemNodePeakBytes, "cly_mem_node_peak_bytes", kMem, kGauge, "node")  \
+  /* Tracked memory bytes of running jobs on each node */                      \
+  X(kMetricMemJobBytes, "cly_mem_job_bytes", kMem, kGauge, "node")             \
+  /* High-water tracked memory bytes of jobs on each node */                   \
+  X(kMetricMemJobPeakBytes, "cly_mem_job_peak_bytes", kMem, kGauge, "node")    \
+  /* Resident bytes in the cross-query dim-table cache */                      \
+  X(kMetricCacheBytes, "cly_cache_bytes", kCache, kGauge, "")                  \
+  /* Resident entries in the cross-query dim-table cache */                    \
+  X(kMetricCacheEntries, "cly_cache_entries", kCache, kGauge, "")
 
-#define CLY_DECLARE_METRIC_FAMILY(id, name, group, kind, labels, help) \
+#define CLY_DECLARE_METRIC_FAMILY(id, name, group, kind, labels) \
   inline constexpr const char id[] = name;
 CLY_MR_METRIC_FAMILIES(CLY_DECLARE_METRIC_FAMILY)
 #undef CLY_DECLARE_METRIC_FAMILY
@@ -143,8 +150,6 @@ class ClusterMetrics {
   obs::Gauge* cache_entries() { return cache_entries_; }
 
  private:
-  obs::MetricsRegistry* const registry_;
-
   std::vector<obs::Gauge*> running_maps_;
   std::vector<obs::Gauge*> running_reduces_;
   obs::Gauge* queued_maps_;

@@ -1,8 +1,9 @@
 #include "mapreduce/engine.h"
 
 #include <algorithm>
-#include <fstream>
+#include <filesystem>
 #include <limits>
+#include <system_error>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -203,42 +204,10 @@ void AppendShuffleOverlapSpan(std::vector<obs::SpanRecord>* spans) {
                    });
 }
 
-/// Writes `contents` to a real-filesystem path (trace/metrics artifacts).
-Status WriteTextFile(const std::string& path, const std::string& contents) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) return Status::IoError("cannot open " + path);
-  file << contents;
-  file.close();
-  if (!file) return Status::IoError("short write to " + path);
-  return Status::OK();
-}
-
-/// Text cluster dashboard over a sampled series: per-node slot occupancy
-/// plus the cluster-wide queue/straggler rows.
-std::string RenderClusterDashboard(const obs::MetricsTimeSeries& series,
-                                   int num_nodes) {
-  std::vector<obs::DashboardRow> rows;
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("maps@node", n),
-                    StrCat(kMetricRunningMaps, "{node=\"", n, "\"}")});
-  }
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("reduces@node", n),
-                    StrCat(kMetricRunningReduces, "{node=\"", n, "\"}")});
-  }
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("mem@node", n),
-                    StrCat(kMetricMemNodeBytes, "{node=\"", n, "\"}")});
-  }
-  for (int n = 0; n < num_nodes; ++n) {
-    rows.push_back({StrCat("jobmem@node", n),
-                    StrCat(kMetricMemJobBytes, "{node=\"", n, "\"}")});
-  }
-  rows.push_back({"queued maps", kMetricQueuedMaps});
-  rows.push_back({"queued reduces", kMetricQueuedReduces});
-  rows.push_back({"stragglers", kMetricStragglersRunning});
-  return obs::RenderDashboard(series, rows);
-}
+/// How often a metrics-enabled job's poller samples the registry.
+/// MetricsPoller::Stop always takes one more sample, so the series ends on
+/// the job's end state whatever the interval.
+constexpr int64_t kMetricsIntervalMs = 5;
 
 /// The body of RunJob.
 Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
@@ -270,8 +239,17 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
                                           " is out of range"));
   }
   straggler_policy.min_completed = static_cast<int>(straggler_min_completed);
-  CLY_ASSIGN_OR_RETURN(const int64_t metrics_interval_ms,
-                       conf.GetInt(kConfMetricsIntervalMs, 5));
+  // Likewise an unusable trace directory: checked here, it cannot turn a
+  // finished job (or the first stage of a chain) into an error afterwards.
+  const std::string trace_dir = conf.Get(kConfTraceDir);
+  if (!trace_dir.empty()) {
+    std::error_code error;
+    if (!std::filesystem::is_directory(trace_dir, error)) {
+      return Status::InvalidArgument(StrCat("conf key '", kConfTraceDir,
+                                            "' = '", trace_dir,
+                                            "' is not a directory"));
+    }
+  }
 
   // Admission control: reject a job whose estimated dimension hash-table
   // footprint (engine-computed, typically from table statistics) already
@@ -330,7 +308,7 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
   std::unique_ptr<obs::MetricsPoller> poller;
   if (metrics != nullptr) {
     poller = std::make_unique<obs::MetricsPoller>(cluster->metrics_registry(),
-                                                  metrics_interval_ms);
+                                                  kMetricsIntervalMs);
     poller->AddProbe([runner, cluster, metrics] {
       runner->PollLiveMetrics();
       // Sample the MemTracker tree into the labeled gauge families: node
@@ -379,45 +357,15 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
     AddQueryProfileCounters(report.profile, &report.counters);
   }
 
-  if (poller != nullptr) {
-    report.metrics_series = poller->Stop();
-    report.metrics_prom = cluster->metrics_registry()->PrometheusText();
-  }
+  if (poller != nullptr) report.metrics_series = poller->Stop();
 
   job_span.End();
   report.spans = trace_recorder.Drain();
   AppendShuffleOverlapSpan(&report.spans);
-  const std::string trace_dir = conf.Get(kConfTraceDir);
   if (!trace_dir.empty()) {
-    CLY_RETURN_IF_ERROR(WriteJobTrace(report, trace_dir, instance));
-    CLY_LOG(Debug) << "wrote trace to " << trace_dir << "/" << conf.job_name
-                   << "-" << instance << ".trace.json";
-  }
-
-  // Metrics artifacts land next to the Chrome trace: Prometheus-text
-  // snapshot, sampled time series, and the text cluster dashboard.
-  if (metrics != nullptr && !trace_dir.empty()) {
-    const std::string base =
-        StrCat(trace_dir, "/", conf.job_name, "-", instance);
-    CLY_RETURN_IF_ERROR(WriteTextFile(base + ".prom", report.metrics_prom));
-    CLY_RETURN_IF_ERROR(
-        WriteTextFile(base + ".metrics.json", report.metrics_series.ToJson()));
-    CLY_RETURN_IF_ERROR(WriteTextFile(
-        base + ".dashboard.txt",
-        RenderClusterDashboard(report.metrics_series, cluster->num_nodes())));
-    CLY_LOG(Debug) << "wrote metrics snapshot to " << base << ".prom";
-  }
-
-  // EXPLAIN ANALYZE artifacts for profiled runs, next to the trace/metrics
-  // files (run_benches.sh exports the .json as BENCH_profile.json).
-  if (!report.profile.empty() && !trace_dir.empty()) {
-    const std::string base =
-        StrCat(trace_dir, "/", conf.job_name, "-", instance);
-    CLY_RETURN_IF_ERROR(WriteTextFile(
-        base + ".profile.json", obs::ExplainAnalyzeJson(report.profile)));
-    CLY_RETURN_IF_ERROR(WriteTextFile(
-        base + ".profile.txt", obs::ExplainAnalyzeText(report.profile)));
-    CLY_LOG(Debug) << "wrote query profile to " << base << ".profile.json";
+    CLY_RETURN_IF_ERROR(WriteJobBundle(report, trace_dir, instance));
+    CLY_LOG(Debug) << "wrote trace bundle to " << trace_dir << "/"
+                   << conf.job_name << "-" << instance << ".trace.json";
   }
 
   JobResult result;
@@ -430,10 +378,7 @@ Result<JobResult> ExecuteJob(MrCluster* cluster, JobConf& conf,
 
 void ApplyObsOptions(const ObsOptions& obs, JobConf* conf) {
   if (!obs.trace_dir.empty()) conf->Set(kConfTraceDir, obs.trace_dir);
-  if (obs.metrics) {
-    conf->SetBool(kConfMetricsEnabled, true);
-    conf->SetInt(kConfMetricsIntervalMs, obs.metrics_interval_ms);
-  }
+  if (obs.metrics) conf->SetBool(kConfMetricsEnabled, true);
   if (obs.profile) conf->SetBool(kConfProfileEnabled, true);
 }
 

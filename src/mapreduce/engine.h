@@ -61,7 +61,7 @@ class MrCluster {
   /// transition, abort). Callers must not hold a JobRunner lock.
   void WakeAllTrackers();
 
-  /// Cluster-lifetime metrics: the registry (for exposition / the poller)
+  /// Cluster-lifetime metrics: the registry (for the poller)
   /// and the pre-resolved handle bundle (for the executor hot path). Always
   /// present; jobs only *update* them when kConfMetricsEnabled is set.
   obs::MetricsRegistry* metrics_registry() { return &metrics_registry_; }
@@ -155,16 +155,15 @@ Result<JobResult> RunJob(MrCluster* cluster, const JobConf& conf);
 /// histograms, phase/task spans and memory accounting are always on; these
 /// gate the rest.
 struct ObsOptions {
-  /// Write <job>-<instance>.trace.json/.timeline.txt (and the metrics and
-  /// profile artifacts of jobs that have them) into this directory
-  /// (obs.trace.dir). Empty = keep spans in the JobReport only.
+  /// Write one bundle per job, <job>-<instance>.trace.json, into this
+  /// existing directory (obs.trace.dir; see WriteJobBundle): the Chrome
+  /// trace of the job's spans, plus the "profile" and "metrics" members of
+  /// jobs that have them. Empty = keep everything in the JobReport only.
   std::string trace_dir;
   /// Live cluster metrics + online straggler detection
-  /// (obs.metrics.enabled): the MetricsPoller thread samples the registry
-  /// every `metrics_interval_ms` and, when trace_dir is set, RunJob writes
-  /// .prom/.metrics.json/.dashboard.txt artifacts next to the trace.
+  /// (obs.metrics.enabled): a MetricsPoller thread samples the registry
+  /// every 5 ms into JobReport::metrics_series.
   bool metrics = false;
-  int64_t metrics_interval_ms = 5;
   /// Per-operator query profiler (obs.profile.enabled): operator nodes
   /// accumulated per task attempt, merged into JobReport::profile and
   /// rendered as EXPLAIN ANALYZE. Off = zero instrumentation overhead.

@@ -55,10 +55,9 @@ struct JobReport {
   /// Always populated: the job span, its setup/map-phase/reduce-phase/commit
   /// phase spans, and the task and stage spans inside them.
   std::vector<obs::SpanRecord> spans;
-  /// Live-metrics trajectory sampled by the MetricsPoller and the final
-  /// Prometheus-text snapshot. Empty unless kConfMetricsEnabled.
+  /// Live-metrics trajectory sampled by the MetricsPoller; its last sample
+  /// is the registry's end state. Empty unless kConfMetricsEnabled.
   obs::MetricsTimeSeries metrics_series;
-  std::string metrics_prom;
   /// Per-operator execution profile merged tree-structurally across task
   /// attempts (obs/query_profile.h). Empty unless kConfProfileEnabled.
   obs::QueryProfile profile;

@@ -1,8 +1,8 @@
 #include "mapreduce/job_trace.h"
 
-#include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "obs/chrome_trace.h"
@@ -105,64 +105,22 @@ std::string CriticalPathReport::ToString() const {
   return out;
 }
 
-std::string TimelineText(const JobReport& report) {
-  std::ostringstream out;
-  out << report.job_name << " timeline ("
-      << FormatDouble(report.wall_seconds, 3) << "s wall, "
-      << report.map_tasks.size() << " map / " << report.reduce_tasks.size()
-      << " reduce)\n";
-
-  if (!report.spans.empty()) {
-    // Proportional bars over the job's span window. Only job/phase/task
-    // spans get a line; stage spans would drown the output (they are in
-    // the Chrome trace for drill-down).
-    constexpr int kBarWidth = 40;
-    int64_t span_end = 1;
-    for (const obs::SpanRecord& s : report.spans) {
-      span_end = std::max(span_end, s.end_us());
-    }
-    for (const obs::SpanRecord& s : report.spans) {
-      if (std::string_view(s.category) == "stage") continue;
-      const int lead = static_cast<int>(s.start_us * kBarWidth / span_end);
-      const int len = std::max<int>(
-          1, static_cast<int>(s.dur_us * kBarWidth / span_end));
-      out << "  [" << std::string(static_cast<size_t>(lead), ' ')
-          << std::string(static_cast<size_t>(std::min(len, kBarWidth - lead)),
-                         '#')
-          << std::string(
-                 static_cast<size_t>(std::max(0, kBarWidth - lead - len)), ' ')
-          << "] " << std::string(static_cast<size_t>(2 * s.depth), ' ')
-          << s.name;
-      if (s.task >= 0) out << " #" << s.task;
-      if (s.node >= 0) out << " @node" << s.node;
-      out << " " << FormatDouble(static_cast<double>(s.dur_us) * 1e-6, 3)
-          << "s\n";
-    }
+Status WriteJobBundle(const JobReport& report, const std::string& dir,
+                      int64_t instance) {
+  std::vector<std::pair<std::string, std::string>> extra;
+  if (!report.profile.empty()) {
+    extra.emplace_back("profile", obs::ExplainAnalyzeJson(report.profile));
   }
-
-  const auto histograms = report.histograms.Snapshot();
-  if (!histograms.empty()) {
-    out << "  histograms:\n";
-    for (const auto& [name, histogram] : histograms) {
-      out << "    " << name << ": " << histogram.ToString() << "\n";
-    }
+  if (!report.metrics_series.samples.empty()) {
+    extra.emplace_back("metrics", report.metrics_series.ToJson());
   }
-  out << "  " << CriticalPath(report).ToString() << "\n";
-  return out.str();
-}
-
-Status WriteJobTrace(const JobReport& report, const std::string& dir,
-                     int64_t instance) {
-  const std::string base =
-      StrCat(dir, "/", report.job_name, "-", instance);
-  CLY_RETURN_IF_ERROR(obs::WriteChromeTrace(report.spans, report.job_name,
-                                            StrCat(base, ".trace.json")));
-  const std::string timeline_path = StrCat(base, ".timeline.txt");
-  std::ofstream file(timeline_path, std::ios::trunc);
-  if (!file) {
-    return Status::IoError("cannot open timeline file: " + timeline_path);
-  }
-  file << TimelineText(report);
+  const std::string path =
+      StrCat(dir, "/", report.job_name, "-", instance, ".trace.json");
+  std::ofstream file(path, std::ios::trunc);
+  if (!file) return Status::IoError("cannot open trace file: " + path);
+  file << obs::ChromeTraceJson(report.spans, report.job_name, extra);
+  file.close();
+  if (!file) return Status::IoError("short write to trace file: " + path);
   return Status::OK();
 }
 

@@ -10,9 +10,8 @@ namespace clydesdale {
 namespace mr {
 
 /// Trace output directory (JobConf string property; engines forward it from
-/// ObsOptions::trace_dir). When set, the engine writes
-/// `<dir>/<job_name>-<instance>.trace.json` (Chrome trace_event format) and
-/// `<dir>/<job_name>-<instance>.timeline.txt` for every job. Spans are
+/// ObsOptions::trace_dir). When set, it must be an existing directory, and
+/// the engine writes one bundle per job into it (WriteJobBundle). Spans are
 /// recorded into JobReport::spans whether or not it is set.
 inline constexpr const char kConfTraceDir[] = "obs.trace.dir";
 
@@ -58,15 +57,15 @@ struct CriticalPathReport {
 /// (reduce-phase of a map-only job) reads 0.
 CriticalPathReport CriticalPath(const JobReport& report);
 
-/// Human-readable per-job timeline: one line per phase/task span with a
-/// proportional bar, plus histogram summaries and the critical path.
-std::string TimelineText(const JobReport& report);
-
-/// Writes `<dir>/<base>.trace.json` + `<dir>/<base>.timeline.txt` where
-/// `base` is "<job_name>-<instance>". Used by the engine when
-/// kConfTraceDir is set; callers may also invoke it directly.
-Status WriteJobTrace(const JobReport& report, const std::string& dir,
-                     int64_t instance);
+/// Writes the job's one observability artifact,
+/// `<dir>/<job_name>-<instance>.trace.json`: a Chrome trace_event object
+/// (chrome://tracing and Perfetto open it) whose "traceEvents" are the
+/// report's spans, plus a "profile" member (ExplainAnalyzeJson) when the
+/// job was profiled and a "metrics" member (MetricsTimeSeries::ToJson)
+/// when its metrics were sampled. The engine calls it when kConfTraceDir
+/// is set.
+Status WriteJobBundle(const JobReport& report, const std::string& dir,
+                      int64_t instance);
 
 }  // namespace mr
 }  // namespace clydesdale

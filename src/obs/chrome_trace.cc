@@ -1,6 +1,5 @@
 #include "obs/chrome_trace.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "obs/json_util.h"
@@ -8,48 +7,28 @@
 namespace clydesdale {
 namespace obs {
 
-namespace {
-
-/// JSON string escape for span/metric names (quotes, backslashes, control
-/// chars) — the one shared implementation (obs/json_util) so every exporter
-/// escapes identically.
-void AppendJsonString(std::ostringstream& out, const std::string& s) {
-  out << JsonQuote(s);
-}
-
-}  // namespace
-
-std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
-                            const std::string& process_name) {
+std::string ChromeTraceJson(
+    const std::vector<SpanRecord>& spans, const std::string& process_name,
+    const std::vector<std::pair<std::string, std::string>>& extra) {
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   // Metadata: name the job-level process lane (pid -1).
-  out << R"({"name":"process_name","ph":"M","pid":-1,"tid":0,"args":{"name":)";
-  AppendJsonString(out, process_name);
-  out << "}}";
+  out << R"({"name":"process_name","ph":"M","pid":-1,"tid":0,"args":{"name":)"
+      << JsonQuote(process_name) << "}}";
   for (const SpanRecord& span : spans) {
-    out << ",\n{\"name\":";
-    AppendJsonString(out, span.name);
-    out << ",\"cat\":";
-    AppendJsonString(out, span.category);
-    out << ",\"ph\":\"X\",\"ts\":" << span.start_us
+    out << ",\n{\"name\":" << JsonQuote(span.name)
+        << ",\"cat\":" << JsonQuote(span.category)
+        << ",\"ph\":\"X\",\"ts\":" << span.start_us
         << ",\"dur\":" << span.dur_us << ",\"pid\":" << span.node
         << ",\"tid\":" << span.tid << ",\"args\":{\"task\":" << span.task
         << ",\"node\":" << span.node << ",\"depth\":" << span.depth << "}}";
   }
-  out << "\n]}\n";
+  out << "\n]";
+  for (const auto& [key, value] : extra) {
+    out << ",\n" << JsonQuote(key) << ":" << value;
+  }
+  out << "}\n";
   return out.str();
-}
-
-Status WriteChromeTrace(const std::vector<SpanRecord>& spans,
-                        const std::string& process_name,
-                        const std::string& path) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) return Status::IoError("cannot open trace file: " + path);
-  file << ChromeTraceJson(spans, process_name);
-  file.close();
-  if (!file) return Status::IoError("short write to trace file: " + path);
-  return Status::OK();
 }
 
 }  // namespace obs

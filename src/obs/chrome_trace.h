@@ -2,9 +2,9 @@
 #define CLYDESDALE_OBS_CHROME_TRACE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/trace.h"
 
 namespace clydesdale {
@@ -14,14 +14,12 @@ namespace obs {
 /// and https://ui.perfetto.dev load). Each span becomes one complete ("X")
 /// event; pid = node id (so each simulated node gets a lane group) and
 /// tid = the recorder-assigned thread id. `process_name` labels pid -1,
-/// the job-level lane for spans not bound to a node.
-std::string ChromeTraceJson(const std::vector<SpanRecord>& spans,
-                            const std::string& process_name);
-
-/// Writes ChromeTraceJson(spans) to `path`, overwriting.
-Status WriteChromeTrace(const std::vector<SpanRecord>& spans,
-                        const std::string& process_name,
-                        const std::string& path);
+/// the job-level lane for spans not bound to a node. Each `extra` pair
+/// (key, already-rendered JSON value) becomes one more top-level member
+/// after "traceEvents"; trace viewers ignore members they do not know.
+std::string ChromeTraceJson(
+    const std::vector<SpanRecord>& spans, const std::string& process_name,
+    const std::vector<std::pair<std::string, std::string>>& extra);
 
 }  // namespace obs
 }  // namespace clydesdale

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 namespace clydesdale {
 namespace obs {
@@ -101,17 +100,6 @@ void Histogram::MergeFrom(const Histogram& other) {
   if (count_ == 0 || other.max_ > max_) max_ = other.max_;
   count_ += other.count_;
   sum_ += other.sum_;
-}
-
-std::string Histogram::ToString() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "count=" << count_;
-  if (count_ == 0) return out.str();
-  out << " mean=" << (static_cast<double>(sum_) / count_)
-      << " p50=" << PercentileLocked(0.50) << " p95=" << PercentileLocked(0.95)
-      << " p99=" << PercentileLocked(0.99) << " max=" << max_;
-  return out.str();
 }
 
 HistogramRegistry::HistogramRegistry(const HistogramRegistry& other) {

@@ -40,9 +40,6 @@ class Histogram {
   /// Accumulates every bucket of `other` into this histogram.
   void MergeFrom(const Histogram& other);
 
-  /// "count=12 mean=3.1 p50=3 p95=7 p99=7 max=9" (or "count=0").
-  std::string ToString() const;
-
  private:
   // 32 unit buckets + 59 power-of-two ranges x 32 sub-buckets.
   static constexpr int kSubBuckets = 32;

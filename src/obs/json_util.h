@@ -10,7 +10,7 @@ namespace obs {
 /// Appends the JSON string-literal escape of `s` to `out`, without the
 /// surrounding quotes: quotes and backslashes become \" and \\, and control
 /// characters become \n / \t / \uXXXX. Shared by every hand-rolled JSON
-/// writer in the repo (Chrome traces, metric exposition, EXPLAIN ANALYZE
+/// writer in the repo (Chrome traces, metrics series, EXPLAIN ANALYZE
 /// JSON) so a span or metric name with a quote can't corrupt any of them.
 void AppendJsonEscaped(std::string* out, std::string_view s);
 

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "obs/json_util.h"
 
 namespace clydesdale {
 namespace obs {
@@ -33,14 +32,7 @@ std::string PromEscape(const std::string& s) {
   return out;
 }
 
-/// Merges an extra label (e.g. quantile="0.5") into a rendered label block.
-std::string WithExtraLabel(const std::string& labels, const std::string& extra) {
-  if (labels.empty()) return StrCat("{", extra, "}");
-  return StrCat(labels.substr(0, labels.size() - 1), ",", extra, "}");
-}
-
-}  // namespace
-
+/// "gauge" / "counter" / "histogram", for the kind-mismatch check.
 const char* MetricKindName(MetricKind kind) {
   switch (kind) {
     case MetricKind::kGauge:
@@ -53,10 +45,11 @@ const char* MetricKindName(MetricKind kind) {
   return "?";
 }
 
-MetricFamily::MetricFamily(std::string name, std::string help, MetricKind kind,
+}  // namespace
+
+MetricFamily::MetricFamily(std::string name, MetricKind kind,
                            std::vector<std::string> label_keys)
     : name_(std::move(name)),
-      help_(std::move(help)),
       kind_(kind),
       label_keys_(std::move(label_keys)) {}
 
@@ -98,76 +91,6 @@ std::string MetricFamily::LabelString(
   return out;
 }
 
-void MetricFamily::AppendPrometheus(std::string* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  *out += StrCat("# HELP ", name_, " ", help_, "\n");
-  // Quantile exposition matches the Prometheus "summary" type, not the
-  // bucketed "histogram" type.
-  *out += StrCat("# TYPE ", name_, " ",
-                 kind_ == MetricKind::kHistogram ? "summary"
-                                                 : MetricKindName(kind_),
-                 "\n");
-  for (const auto& [values, cell] : cells_) {
-    const std::string labels = LabelString(values);
-    switch (kind_) {
-      case MetricKind::kGauge:
-        *out += StrCat(name_, labels, " ", cell->gauge.Value(), "\n");
-        break;
-      case MetricKind::kCounter:
-        *out += StrCat(name_, labels, " ", cell->counter.Value(), "\n");
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = cell->histogram;
-        for (double q : {0.5, 0.95, 0.99}) {
-          *out += StrCat(
-              name_,
-              WithExtraLabel(labels, StrCat("quantile=\"", q, "\"")), " ",
-              h.Percentile(q), "\n");
-        }
-        *out += StrCat(name_, "_count", labels, " ", h.Count(), "\n");
-        *out += StrCat(name_, "_sum", labels, " ", h.Sum(), "\n");
-        break;
-      }
-    }
-  }
-}
-
-void MetricFamily::AppendJson(std::string* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  *out += StrCat("{\"name\":", JsonQuote(name_), ",\"type\":\"",
-                 MetricKindName(kind_), "\",\"help\":", JsonQuote(help_),
-                 ",\"samples\":[");
-  bool first = true;
-  for (const auto& [values, cell] : cells_) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "{\"labels\":{";
-    for (size_t i = 0; i < label_keys_.size(); ++i) {
-      if (i > 0) *out += ",";
-      *out += StrCat(JsonQuote(label_keys_[i]), ":", JsonQuote(values[i]));
-    }
-    *out += "}";
-    switch (kind_) {
-      case MetricKind::kGauge:
-        *out += StrCat(",\"value\":", cell->gauge.Value());
-        break;
-      case MetricKind::kCounter:
-        *out += StrCat(",\"value\":", cell->counter.Value());
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = cell->histogram;
-        *out += StrCat(",\"count\":", h.Count(), ",\"sum\":", h.Sum(),
-                       ",\"p50\":", h.Percentile(0.5),
-                       ",\"p95\":", h.Percentile(0.95),
-                       ",\"p99\":", h.Percentile(0.99), ",\"max\":", h.Max());
-        break;
-      }
-    }
-    *out += "}";
-  }
-  *out += "]}";
-}
-
 void MetricFamily::AppendSamples(std::vector<MetricSampleRow>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [values, cell] : cells_) {
@@ -188,14 +111,12 @@ void MetricFamily::AppendSamples(std::vector<MetricSampleRow>* out) const {
   }
 }
 
-MetricFamily* MetricsRegistry::Family(const std::string& name,
-                                      const std::string& help, MetricKind kind,
+MetricFamily* MetricsRegistry::Family(const std::string& name, MetricKind kind,
                                       std::vector<std::string> label_keys) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = families_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<MetricFamily>(name, help, kind,
-                                          std::move(label_keys));
+    slot = std::make_unique<MetricFamily>(name, kind, std::move(label_keys));
   }
   CLY_CHECK(slot->kind() == kind)
       << "metric family " << name << " re-registered as "
@@ -203,58 +124,10 @@ MetricFamily* MetricsRegistry::Family(const std::string& name,
   return slot.get();
 }
 
-MetricFamily* MetricsRegistry::GaugeFamily(const std::string& name,
-                                           const std::string& help,
-                                           std::vector<std::string> label_keys) {
-  return Family(name, help, MetricKind::kGauge, std::move(label_keys));
-}
-
-MetricFamily* MetricsRegistry::CounterFamily(
-    const std::string& name, const std::string& help,
-    std::vector<std::string> label_keys) {
-  return Family(name, help, MetricKind::kCounter, std::move(label_keys));
-}
-
-MetricFamily* MetricsRegistry::HistogramFamily(
-    const std::string& name, const std::string& help,
-    std::vector<std::string> label_keys) {
-  return Family(name, help, MetricKind::kHistogram, std::move(label_keys));
-}
-
 const MetricFamily* MetricsRegistry::Find(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = families_.find(name);
   return it == families_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> MetricsRegistry::FamilyNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(families_.size());
-  for (const auto& [name, family] : families_) names.push_back(name);
-  return names;
-}
-
-std::string MetricsRegistry::PrometheusText() const {
-  std::string out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, family] : families_) family->AppendPrometheus(&out);
-  return out;
-}
-
-std::string MetricsRegistry::JsonText() const {
-  std::string out = "{\"families\":[";
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    bool first = true;
-    for (const auto& [name, family] : families_) {
-      if (!first) out += ",\n";
-      first = false;
-      family->AppendJson(&out);
-    }
-  }
-  out += "]}\n";
-  return out;
 }
 
 std::vector<MetricSampleRow> MetricsRegistry::Samples() const {

@@ -40,11 +40,7 @@ class Counter {
 
 enum class MetricKind { kGauge, kCounter, kHistogram };
 
-/// "gauge" / "counter" / "histogram" (the Prometheus TYPE line uses
-/// "summary" for histograms, since we expose quantiles, not buckets).
-const char* MetricKindName(MetricKind kind);
-
-/// One flattened exposition row: `name{label="v"}` -> int64. Histogram
+/// One flattened sample row: `name{label="v"}` -> int64. Histogram
 /// children expand to `<name>_count` and `<name>_sum` rows so a sample is
 /// always a single int64 — the unit the poller's time series stores.
 struct MetricSampleRow {
@@ -58,14 +54,12 @@ struct MetricSampleRow {
 /// valid for the registry's lifetime and the update path is one atomic op.
 class MetricFamily {
  public:
-  MetricFamily(std::string name, std::string help, MetricKind kind,
+  MetricFamily(std::string name, MetricKind kind,
                std::vector<std::string> label_keys);
 
   MetricFamily(const MetricFamily&) = delete;
   MetricFamily& operator=(const MetricFamily&) = delete;
 
-  const std::string& name() const { return name_; }
-  const std::string& help() const { return help_; }
   MetricKind kind() const { return kind_; }
 
   /// Child accessors; `label_values` must match the family's label keys in
@@ -75,10 +69,6 @@ class MetricFamily {
   Counter* CounterAt(std::vector<std::string> label_values = {});
   Histogram* HistogramAt(std::vector<std::string> label_values = {});
 
-  /// Prometheus text exposition (# HELP / # TYPE / one line per child).
-  void AppendPrometheus(std::string* out) const;
-  /// One JSON object {"name":...,"type":...,"help":...,"samples":[...]}.
-  void AppendJson(std::string* out) const;
   /// Flattened rows for the poller (histograms -> _count and _sum).
   void AppendSamples(std::vector<MetricSampleRow>* out) const;
 
@@ -95,7 +85,6 @@ class MetricFamily {
   std::string LabelString(const std::vector<std::string>& values) const;
 
   const std::string name_;
-  const std::string help_;
   const MetricKind kind_;
   const std::vector<std::string> label_keys_;
 
@@ -106,7 +95,7 @@ class MetricFamily {
 /// Process-wide (per MrCluster) registry of metric families, the analogue of
 /// the stats the Hadoop JobTracker UI scrapes. Families are registered
 /// lazily and never removed; re-registering a name returns the existing
-/// family (kind must match). Exposition never blocks updates — readers take
+/// family (kind must match). Sampling never blocks updates — readers take
 /// only the registry map lock and each family's child-map lock, while the
 /// hot path touches pre-resolved atomic cells.
 class MetricsRegistry {
@@ -116,30 +105,12 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Registers (or returns the existing) family `name`; the Gauge/Counter/
-  /// HistogramFamily helpers below fix `kind`.
-  MetricFamily* Family(const std::string& name, const std::string& help,
-                       MetricKind kind,
+  /// Registers (or returns the existing) family `name`.
+  MetricFamily* Family(const std::string& name, MetricKind kind,
                        std::vector<std::string> label_keys = {});
-  MetricFamily* GaugeFamily(const std::string& name, const std::string& help,
-                            std::vector<std::string> label_keys = {});
-  MetricFamily* CounterFamily(const std::string& name, const std::string& help,
-                              std::vector<std::string> label_keys = {});
-  MetricFamily* HistogramFamily(const std::string& name,
-                                const std::string& help,
-                                std::vector<std::string> label_keys = {});
 
   /// Null when no family of that name was registered.
   const MetricFamily* Find(const std::string& name) const;
-
-  /// Registered family names, sorted.
-  std::vector<std::string> FamilyNames() const;
-
-  /// Prometheus text exposition of every family, in name order.
-  std::string PrometheusText() const;
-
-  /// {"families":[...]} JSON exposition, in name order.
-  std::string JsonText() const;
 
   /// Flattened rows of every family, in name order (one poller sample).
   std::vector<MetricSampleRow> Samples() const;

@@ -39,7 +39,7 @@ std::string MetricsTimeSeries::ToJson() const {
     }
     out += "}}";
   }
-  out += "\n]}\n";
+  out += "\n]}";
   return out;
 }
 
@@ -114,49 +114,6 @@ void MetricsPoller::Loop() {
     cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
                  [this] { return stop_; });
   }
-}
-
-std::string RenderDashboard(const MetricsTimeSeries& series,
-                            const std::vector<DashboardRow>& rows, int width) {
-  width = std::max(width, 1);
-  const size_t n = series.samples.size();
-  std::string out;
-  if (n == 0) return "cluster dashboard: no samples\n";
-  const int cols = static_cast<int>(std::min<size_t>(n, static_cast<size_t>(width)));
-  const int64_t span_ms =
-      series.samples.back().t_ms - series.samples.front().t_ms;
-  out += StrCat("cluster dashboard: ", n, " samples over ", span_ms,
-                " ms (1 col ~ ",
-                std::max<int64_t>(1, span_ms / std::max(cols, 1)),
-                " ms; '.'=0, '1'..'9', '+'>=10)\n");
-  int title_width = 0;
-  for (const DashboardRow& row : rows) {
-    title_width = std::max(title_width, static_cast<int>(row.title.size()));
-  }
-  for (const DashboardRow& row : rows) {
-    out += StrCat("  ", Pad(row.title, title_width), " [");
-    int64_t row_max = 0;
-    for (int c = 0; c < cols; ++c) {
-      // Bucket = max over the samples that fall into this column.
-      const size_t lo = n * static_cast<size_t>(c) / static_cast<size_t>(cols);
-      const size_t hi =
-          std::max(lo + 1, n * static_cast<size_t>(c + 1) / static_cast<size_t>(cols));
-      int64_t bucket = 0;
-      for (size_t s = lo; s < hi && s < n; ++s) {
-        bucket = std::max(bucket, series.samples[s].Value(row.key));
-      }
-      row_max = std::max(row_max, bucket);
-      if (bucket <= 0) {
-        out += '.';
-      } else if (bucket <= 9) {
-        out += static_cast<char>('0' + bucket);
-      } else {
-        out += '+';
-      }
-    }
-    out += StrCat("] max=", row_max, "\n");
-  }
-  return out;
 }
 
 }  // namespace obs

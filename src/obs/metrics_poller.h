@@ -78,20 +78,6 @@ class MetricsPoller {
   std::thread thread_;
 };
 
-/// One dashboard row: a title and the flattened sample key it plots.
-struct DashboardRow {
-  std::string title;
-  std::string key;
-};
-
-/// Renders a fixed-width text dashboard of the series: one row per entry,
-/// time flowing left to right, each column the max value within its time
-/// bucket ('.' = 0, '1'..'9', '+' for >= 10). The mapreduce layer feeds it
-/// per-node slot-occupancy keys to get the cluster view of a job.
-std::string RenderDashboard(const MetricsTimeSeries& series,
-                            const std::vector<DashboardRow>& rows,
-                            int width = 60);
-
 }  // namespace obs
 }  // namespace clydesdale
 

@@ -102,21 +102,8 @@ uint64_t NumProfileOperators(const QueryProfile& profile);
 std::string ExplainAnalyzeText(const QueryProfile& profile);
 
 /// The same tree as one JSON object (stable field order, ints exact, doubles
-/// %.17g) — the payload run_benches.sh exports as BENCH_profile.json.
+/// %.17g): the "profile" member of a job's trace bundle (job_trace.h).
 std::string ExplainAnalyzeJson(const QueryProfile& profile);
-
-/// Flattened view for line-oriented serialization: every node paired with
-/// its '>'-joined root-to-node path, pre-order, so rebuilding in order
-/// recreates the exact tree shape.
-struct FlatProfileNode {
-  std::string path;
-  const OperatorProfile* node;
-};
-std::vector<FlatProfileNode> FlattenProfile(const QueryProfile& profile);
-
-/// Node at `path` ('>'-separated), creating every missing node on the way.
-OperatorProfile* EnsureProfilePath(QueryProfile* profile,
-                                   std::string_view path);
 
 /// Calling thread's CPU time (user + system) in nanoseconds.
 int64_t ThreadCpuNanos();

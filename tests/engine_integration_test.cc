@@ -19,6 +19,12 @@
 namespace clydesdale {
 namespace {
 
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream file(path);
+  return std::string((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+}
+
 /// Shared fixture: one loaded SSB cluster reused across all queries (loading
 /// dominates test time).
 class EngineIntegrationTest : public ::testing::Test {
@@ -301,6 +307,8 @@ TEST_F(EngineIntegrationTest, TracedRunEmitsSpansTimelineAndCriticalPath) {
 
   core::ClydesdaleOptions options;
   options.obs.trace_dir = trace_dir;
+  options.obs.metrics = true;
+  options.obs.profile = true;
   core::ClydesdaleEngine engine(cluster_, dataset_->star, options);
   auto result = engine.Execute(*spec);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -356,22 +364,20 @@ TEST_F(EngineIntegrationTest, TracedRunEmitsSpansTimelineAndCriticalPath) {
     EXPECT_TRUE(names_handoff) << chain;
   }
 
-  // Trace + timeline files landed in the requested directory.
-  bool saw_trace = false, saw_timeline = false;
+  // The job wrote exactly one file: the trace bundle, holding the Chrome
+  // trace events plus the profile and the metrics series.
+  std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(trace_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.find(".trace.json") != std::string::npos) {
-      saw_trace = true;
-      std::ifstream file(entry.path());
-      std::string content((std::istreambuf_iterator<char>(file)),
-                          std::istreambuf_iterator<char>());
-      EXPECT_NE(content.find("\"traceEvents\""), std::string::npos);
-      EXPECT_NE(content.find("\"map-task\""), std::string::npos);
-    }
-    if (name.find(".timeline.txt") != std::string::npos) saw_timeline = true;
+    files.push_back(entry.path().filename().string());
   }
-  EXPECT_TRUE(saw_trace);
-  EXPECT_TRUE(saw_timeline);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_TRUE(StartsWith(files[0], report.job_name + "-")) << files[0];
+  EXPECT_TRUE(EndsWith(files[0], ".trace.json")) << files[0];
+  const std::string content = ReadFile(trace_dir + "/" + files[0]);
+  for (const char* key :
+       {"\"traceEvents\"", "\"map-task\"", "\"profile\"", "\"metrics\""}) {
+    EXPECT_NE(content.find(key), std::string::npos) << "bundle lacks " << key;
+  }
 
   // Standard counters flow through a traced star-join run too.
   EXPECT_GT(result->Counter(mr::kCounterMapInputRecords), 0);
@@ -443,11 +449,17 @@ TEST_F(EngineIntegrationTest, HiveStagesEachEmitTraces) {
     }
   }
   EXPECT_TRUE(saw_hash_load);
+  // One bundle per stage job and no other file. Without obs.profile and
+  // obs.metrics a bundle is the plain Chrome trace: neither optional member.
   size_t trace_files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(trace_dir)) {
-    if (entry.path().string().find(".trace.json") != std::string::npos) {
-      ++trace_files;
-    }
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(EndsWith(name, ".trace.json")) << "unexpected file " << name;
+    ++trace_files;
+    const std::string content = ReadFile(entry.path());
+    EXPECT_NE(content.find("\"traceEvents\""), std::string::npos) << name;
+    EXPECT_EQ(content.find("\"profile\""), std::string::npos) << name;
+    EXPECT_EQ(content.find("\"metrics\""), std::string::npos) << name;
   }
   EXPECT_EQ(trace_files, result->stage_reports.size());
 }

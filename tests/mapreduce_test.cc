@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "mapreduce/cluster_metrics.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/input_format.h"
+#include "mapreduce/job_trace.h"
 #include "mapreduce/map_runner.h"
 #include "mapreduce/scheduler.h"
 #include "mapreduce/shuffle.h"
@@ -191,7 +193,6 @@ TEST(MapReduceTest, MalformedNumericConfFailsBeforeAnyTask) {
       {kConfStragglerMinCompleted, "three"},
       {kConfStragglerMinCompleted, "99999999999"},  // fits int64, not int
       {kConfStragglerThreshold, "2.0x"},
-      {kConfMetricsIntervalMs, "99999999999999999999"},
   };
   for (const auto& [key, value] : cases) {
     JobConf conf = WordCountJob("/words", 1);
@@ -208,6 +209,27 @@ TEST(MapReduceTest, MalformedNumericConfFailsBeforeAnyTask) {
         << result.status().ToString();
     EXPECT_EQ(mappers->load(), 0) << key << ": a task started";
   }
+}
+
+TEST(MapReduceTest, MissingTraceDirFailsBeforeAnyTask) {
+  MrCluster cluster(SmallCluster());
+  WriteWordTable(&cluster, 100);
+  const std::string missing = ::testing::TempDir() + "/no_such_trace_dir";
+  std::filesystem::remove_all(missing);
+  JobConf conf = WordCountJob("/words", 1);
+  auto mappers = std::make_shared<std::atomic<int>>(0);
+  conf.mapper_factory = [mappers] {
+    ++*mappers;
+    return std::make_unique<WordCountMapper>();
+  };
+  conf.Set(kConfTraceDir, missing);
+  auto result = RunJob(&cluster, conf);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(kConfTraceDir), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(mappers->load(), 0) << "a task started";
+  EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 TEST(MapReduceTest, TableOutputRoundTrip) {

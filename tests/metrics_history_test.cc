@@ -32,56 +32,32 @@ namespace {
 // MetricsRegistry / MetricFamily
 // ---------------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, GaugePrometheusExposition) {
-  MetricsRegistry registry;
-  MetricFamily* family = registry.GaugeFamily("up", "Is the server up");
-  family->GaugeAt()->Set(3);
-  const std::string text = registry.PrometheusText();
-  EXPECT_NE(text.find("# HELP up Is the server up\n"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# TYPE up gauge\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("up 3\n"), std::string::npos) << text;
-}
-
 TEST(MetricsRegistryTest, LabeledCounterChildren) {
   MetricsRegistry registry;
   MetricFamily* family =
-      registry.CounterFamily("requests_total", "Requests", {"kind"});
+      registry.Family("requests_total", MetricKind::kCounter, {"kind"});
   family->CounterAt({"map"})->Add(2);
   family->CounterAt({"reduce"})->Inc();
   // Children are stable: a second lookup hits the same atomic cell.
   EXPECT_EQ(family->CounterAt({"map"}), family->CounterAt({"map"}));
   EXPECT_EQ(family->CounterAt({"map"})->Value(), 2);
 
-  const std::string text = registry.PrometheusText();
-  EXPECT_NE(text.find("# TYPE requests_total counter\n"), std::string::npos);
-  EXPECT_NE(text.find("requests_total{kind=\"map\"} 2\n"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("requests_total{kind=\"reduce\"} 1\n"),
-            std::string::npos)
-      << text;
+  // One flattened row per child, in label order.
+  const std::vector<MetricSampleRow> rows = registry.Samples();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].key, "requests_total{kind=\"map\"}");
+  EXPECT_EQ(rows[0].value, 2);
+  EXPECT_EQ(rows[1].key, "requests_total{kind=\"reduce\"}");
+  EXPECT_EQ(rows[1].value, 1);
 }
 
 TEST(MetricsRegistryTest, HistogramExposesSummaryQuantiles) {
   MetricsRegistry registry;
   MetricFamily* family =
-      registry.HistogramFamily("latency_micros", "Latency", {"kind"});
+      registry.Family("latency_micros", MetricKind::kHistogram, {"kind"});
   Histogram* h = family->HistogramAt({"map"});
   for (int64_t v = 1; v <= 20; ++v) h->Record(v);
-
-  const std::string text = registry.PrometheusText();
-  // Quantile exposition uses the Prometheus "summary" TYPE, not "histogram".
-  EXPECT_NE(text.find("# TYPE latency_micros summary\n"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("latency_micros{kind=\"map\",quantile=\"0.5\"} 10\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("latency_micros_count{kind=\"map\"} 20\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("latency_micros_sum{kind=\"map\"} 210\n"),
-            std::string::npos)
-      << text;
+  EXPECT_EQ(h->Percentile(0.5), 10);
 
   // The flattened poller rows expand to _count and _sum only.
   std::vector<MetricSampleRow> rows = registry.Samples();
@@ -94,59 +70,27 @@ TEST(MetricsRegistryTest, HistogramExposesSummaryQuantiles) {
 
 TEST(MetricsRegistryTest, PrometheusLabelValuesAreEscaped) {
   MetricsRegistry registry;
-  MetricFamily* family = registry.GaugeFamily("g", "Help", {"path"});
+  MetricFamily* family = registry.Family("g", MetricKind::kGauge, {"path"});
   family->GaugeAt({"we\"ird\\table\n"})->Set(1);
-  const std::string text = registry.PrometheusText();
-  EXPECT_NE(text.find("g{path=\"we\\\"ird\\\\table\\n\"} 1\n"),
-            std::string::npos)
-      << text;
-}
-
-TEST(MetricsRegistryTest, JsonExposition) {
-  MetricsRegistry registry;
-  registry.GaugeFamily("b_gauge", "B")->GaugeAt()->Set(7);
-  registry.CounterFamily("a_counter", "A", {"kind"})
-      ->CounterAt({"map"})
-      ->Add(4);
-  const std::string json = registry.JsonText();
-  EXPECT_NE(json.find("{\"families\":["), std::string::npos) << json;
-  // Families render in name order: a_counter before b_gauge.
-  const size_t a_pos = json.find("\"name\":\"a_counter\"");
-  const size_t b_pos = json.find("\"name\":\"b_gauge\"");
-  ASSERT_NE(a_pos, std::string::npos) << json;
-  ASSERT_NE(b_pos, std::string::npos) << json;
-  EXPECT_LT(a_pos, b_pos);
-  EXPECT_NE(json.find("\"labels\":{\"kind\":\"map\"},\"value\":4"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"type\":\"gauge\""), std::string::npos) << json;
-  // Structural sanity: braces and brackets balance.
-  int braces = 0, brackets = 0;
-  for (char c : json) {
-    braces += (c == '{') - (c == '}');
-    brackets += (c == '[') - (c == ']');
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  const std::vector<MetricSampleRow> rows = registry.Samples();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].key, "g{path=\"we\\\"ird\\\\table\\n\"}");
+  EXPECT_EQ(rows[0].value, 1);
 }
 
 TEST(MetricsRegistryTest, ReRegistrationReturnsExistingFamily) {
   MetricsRegistry registry;
-  MetricFamily* first = registry.GaugeFamily("g", "Help", {"node"});
-  MetricFamily* second = registry.GaugeFamily("g", "ignored on re-register");
+  MetricFamily* first = registry.Family("g", MetricKind::kGauge, {"node"});
+  MetricFamily* second = registry.Family("g", MetricKind::kGauge);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(second->help(), "Help");
   EXPECT_EQ(registry.Find("g"), first);
   EXPECT_EQ(registry.Find("absent"), nullptr);
-  const std::vector<std::string> names = registry.FamilyNames();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "g");
 }
 
 TEST(MetricsRegistryTest, ConcurrentUpdatesAllLand) {
   MetricsRegistry registry;
-  MetricFamily* gauges = registry.GaugeFamily("g", "G", {"node"});
-  MetricFamily* counters = registry.CounterFamily("c", "C");
+  MetricFamily* gauges = registry.Family("g", MetricKind::kGauge, {"node"});
+  MetricFamily* counters = registry.Family("c", MetricKind::kCounter);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> workers;
@@ -157,8 +101,8 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesAllLand) {
       for (int i = 0; i < kPerThread; ++i) {
         gauge->Add(1);
         counter->Inc();
-        // Concurrent exposition must never block or tear an update.
-        if (i % 2500 == 0) registry.PrometheusText();
+        // Concurrent sampling must never block or tear an update.
+        if (i % 2500 == 0) registry.Samples();
       }
     });
   }
@@ -170,12 +114,12 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesAllLand) {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsPoller / dashboard
+// MetricsPoller
 // ---------------------------------------------------------------------------
 
 TEST(MetricsPollerTest, SamplesRegistryAndRunsProbes) {
   MetricsRegistry registry;
-  Gauge* gauge = registry.GaugeFamily("g", "G")->GaugeAt();
+  Gauge* gauge = registry.Family("g", MetricKind::kGauge)->GaugeAt();
   gauge->Set(5);
   std::atomic<int> probe_runs{0};
   MetricsPoller poller(&registry, /*interval_ms=*/1);
@@ -205,7 +149,7 @@ TEST(MetricsPollerTest, SamplesRegistryAndRunsProbes) {
 
 TEST(MetricsPollerTest, SeriesToJsonIsWellFormed) {
   MetricsRegistry registry;
-  registry.GaugeFamily("g", "G", {"node"})->GaugeAt({"0"})->Set(2);
+  registry.Family("g", MetricKind::kGauge, {"node"})->GaugeAt({"0"})->Set(2);
   MetricsPoller poller(&registry, 1);
   poller.Start();
   const MetricsTimeSeries series = poller.Stop();
@@ -213,29 +157,6 @@ TEST(MetricsPollerTest, SeriesToJsonIsWellFormed) {
   EXPECT_NE(json.find("\"interval_ms\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"samples\":["), std::string::npos) << json;
   EXPECT_NE(json.find("\"g{node=\\\"0\\\"}\":2"), std::string::npos) << json;
-}
-
-TEST(MetricsPollerTest, RenderDashboardBucketsValues) {
-  MetricsTimeSeries series;
-  series.interval_ms = 10;
-  for (int i = 0; i < 6; ++i) {
-    MetricsSample sample;
-    sample.t_ms = i * 10;
-    // 0, 0, 3, 3, 12, 12: exercises '.', a digit, and the '+' overflow.
-    const int64_t v = i < 2 ? 0 : (i < 4 ? 3 : 12);
-    sample.rows.push_back({"busy", v});
-    series.samples.push_back(std::move(sample));
-  }
-  const std::string text =
-      RenderDashboard(series, {{"busy slots", "busy"}}, /*width=*/6);
-  EXPECT_NE(text.find("cluster dashboard: 6 samples"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("busy slots [..33++] max=12"), std::string::npos)
-      << text;
-
-  const MetricsTimeSeries empty;
-  EXPECT_EQ(RenderDashboard(empty, {{"r", "k"}}),
-            "cluster dashboard: no samples\n");
 }
 
 }  // namespace
@@ -366,11 +287,8 @@ TEST(MetricNamesTest, StandardFamiliesRegisteredOnClusterStartup) {
   ClusterOptions options;
   options.num_nodes = 2;
   MrCluster cluster(options);
-  const std::vector<std::string> registered =
-      cluster.metrics_registry()->FamilyNames();
   for (const std::string& name : StandardMetricFamilyNames()) {
-    EXPECT_NE(std::find(registered.begin(), registered.end(), name),
-              registered.end())
+    EXPECT_NE(cluster.metrics_registry()->Find(name), nullptr)
         << "family " << name << " not registered";
   }
   // Per-node children resolve for every node the cluster actually has.
@@ -539,7 +457,6 @@ TEST(MetricsIntegrationTest, SlowMapIsFlaggedAndGaugesSettle) {
   JobConf conf = WordCountJob("/words", 2);
   conf.mapper_factory = [] { return std::make_unique<SlowFirstMapper>(); };
   conf.SetBool(kConfMetricsEnabled, true);
-  conf.SetInt(kConfMetricsIntervalMs, 2);
   conf.SetDouble(kConfStragglerThreshold, 2.0);
   conf.SetInt(kConfStragglerMinCompleted, 3);
 
@@ -569,17 +486,22 @@ TEST(MetricsIntegrationTest, SlowMapIsFlaggedAndGaugesSettle) {
   EXPECT_GE(busiest_node, 1)
       << "per-node slot occupancy never sampled above zero";
 
-  ASSERT_FALSE(report.metrics_prom.empty());
-  EXPECT_NE(report.metrics_prom.find(kMetricStragglersTotal),
-            std::string::npos);
-  EXPECT_NE(report.metrics_prom.find(
-                StrCat(kMetricRunningMaps, "{node=\"0\"}")),
-            std::string::npos);
-
-  // After the job, every live gauge settles back to zero — the final sample
-  // (taken by Stop after Execute returned) proves the +/- accounting nets
-  // out: no leaked slots, queue entries, stragglers, or in-flight bytes.
+  // The final sample (taken by Stop after Execute returned) is the
+  // registry's end state: it carries the straggler total and every node's
+  // slot gauge.
   const obs::MetricsSample& last = report.metrics_series.samples.back();
+  auto sampled = [&last](const std::string& key) {
+    return std::any_of(
+        last.rows.begin(), last.rows.end(),
+        [&key](const obs::MetricSampleRow& row) { return row.key == key; });
+  };
+  EXPECT_TRUE(sampled(kMetricStragglersTotal));
+  EXPECT_GE(last.Value(kMetricStragglersTotal), 1);
+  EXPECT_TRUE(sampled(StrCat(kMetricRunningMaps, "{node=\"0\"}")));
+
+  // After the job, every live gauge settles back to zero — the +/-
+  // accounting nets out: no leaked slots, queue entries, stragglers, or
+  // in-flight bytes.
   EXPECT_EQ(last.Value(kMetricStragglersRunning), 0);
   EXPECT_EQ(last.Value(kMetricQueuedMaps), 0);
   EXPECT_EQ(last.Value(kMetricQueuedReduces), 0);
@@ -617,7 +539,6 @@ TEST(MetricNamesTest, MemGaugesSampledForEveryNodeFromNamedTrackers) {
     return std::make_unique<MemHoldMapper>(state);
   };
   conf.SetBool(kConfMetricsEnabled, true);
-  conf.SetInt(kConfMetricsIntervalMs, 1);
   auto result = RunJob(&cluster, conf);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -649,7 +570,6 @@ TEST(MetricsIntegrationTest, MetricsOffKeepsRegistryQuiet) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Without kConfMetricsEnabled nothing samples and nothing counts.
   EXPECT_TRUE(result->report.metrics_series.samples.empty());
-  EXPECT_TRUE(result->report.metrics_prom.empty());
   EXPECT_EQ(cluster.metrics()->attempts_finished(true, "succeeded")->Value(),
             0);
   EXPECT_EQ(cluster.metrics()->shuffle_runs_published()->Value(), 0);

@@ -24,7 +24,6 @@ TEST(HistogramTest, EmptyHistogram) {
   EXPECT_EQ(h.Max(), 0);
   EXPECT_EQ(h.Mean(), 0.0);
   EXPECT_EQ(h.Percentile(0.5), 0);
-  EXPECT_EQ(h.ToString(), "count=0");
 }
 
 TEST(HistogramTest, SmallValuesAreExact) {
@@ -82,17 +81,6 @@ TEST(HistogramTest, MergeFromAccumulates) {
   Histogram empty;
   a.MergeFrom(empty);  // merging an empty histogram is a no-op
   EXPECT_EQ(a.Count(), 4);
-}
-
-TEST(HistogramTest, ToStringShowsPercentiles) {
-  Histogram h;
-  for (int64_t v = 1; v <= 12; ++v) h.Record(v);
-  const std::string s = h.ToString();
-  EXPECT_NE(s.find("count=12"), std::string::npos) << s;
-  EXPECT_NE(s.find("p50="), std::string::npos) << s;
-  EXPECT_NE(s.find("p95="), std::string::npos) << s;
-  EXPECT_NE(s.find("p99="), std::string::npos) << s;
-  EXPECT_NE(s.find("max=12"), std::string::npos) << s;
 }
 
 TEST(HistogramTest, ConcurrentRecordsAllLand) {
@@ -286,7 +274,7 @@ TEST(ChromeTraceTest, EmitsOneCompleteEventPerSpan) {
     Span task(&recorder, "map-task", "task", 7, 2);
     Span stage(&recorder, "hash-build", "stage", 7, 2);
   }
-  const std::string json = ChromeTraceJson(recorder.Drain(), "wordcount");
+  const std::string json = ChromeTraceJson(recorder.Drain(), "wordcount", {});
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '\n');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -314,21 +302,9 @@ TEST(ChromeTraceTest, EmitsOneCompleteEventPerSpan) {
 TEST(ChromeTraceTest, EscapesSpanNames) {
   TraceRecorder recorder;
   { Span s(&recorder, "weird \"name\"\\path", "stage"); }
-  const std::string json = ChromeTraceJson(recorder.Drain(), "job");
+  const std::string json = ChromeTraceJson(recorder.Drain(), "job", {});
   EXPECT_NE(json.find("weird \\\"name\\\"\\\\path"), std::string::npos)
       << json;
-}
-
-TEST(ChromeTraceTest, WriteCreatesReadableFile) {
-  TraceRecorder recorder;
-  { Span s(&recorder, "span", "stage"); }
-  const std::string path = ::testing::TempDir() + "/obs_test_trace.json";
-  ASSERT_TRUE(WriteChromeTrace(recorder.Drain(), "job", path).ok());
-  std::ifstream file(path);
-  ASSERT_TRUE(file.good());
-  std::stringstream content;
-  content << file.rdbuf();
-  EXPECT_NE(content.str().find("\"traceEvents\""), std::string::npos);
 }
 
 }  // namespace
@@ -407,37 +383,6 @@ TEST(CriticalPathTest, MapOnlyJobHasNoReduceLeg) {
   EXPECT_NE(path.ToString().find("map-only"), std::string::npos);
 }
 
-TEST(TimelineTest, ShowsBarsHistogramsAndCriticalPath) {
-  JobReport report = SyntheticReport();
-  obs::SpanRecord job;
-  job.name = "synthetic";
-  job.category = "job";
-  job.dur_us = 900'000;
-  obs::SpanRecord task;
-  task.name = "map-task";
-  task.category = "task";
-  task.task = 1;
-  task.node = 2;
-  task.start_us = 50'000;
-  task.dur_us = 400'000;
-  task.depth = 1;
-  obs::SpanRecord stage;
-  stage.name = "probe";
-  stage.category = "stage";
-  stage.dur_us = 1000;
-  report.spans = {job, task, stage};
-  report.histograms.Get(kHistMapTaskMicros)->Record(400'000);
-
-  const std::string text = TimelineText(report);
-  EXPECT_NE(text.find("synthetic timeline"), std::string::npos) << text;
-  EXPECT_NE(text.find("map-task #1 @node2"), std::string::npos) << text;
-  EXPECT_EQ(text.find("probe"), std::string::npos)
-      << "stage spans stay out of the timeline: " << text;
-  EXPECT_NE(text.find(kHistMapTaskMicros), std::string::npos) << text;
-  EXPECT_NE(text.find("critical path"), std::string::npos) << text;
-  EXPECT_NE(text.find('#'), std::string::npos) << "proportional bars";
-}
-
 TEST(SummaryTest, ShowsPercentileTriples) {
   JobReport report = SyntheticReport();
   for (int64_t v : {1000, 2000, 3000}) {
@@ -450,17 +395,56 @@ TEST(SummaryTest, ShowsPercentileTriples) {
       << summary;
 }
 
-TEST(JobTraceFilesTest, WritesTraceAndTimeline) {
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path);
+  std::stringstream content;
+  content << file.rdbuf();
+  return content.str();
+}
+
+TEST(ChromeTraceTest, WriteCreatesReadableFile) {
   JobReport report = SyntheticReport();
   obs::SpanRecord job;
   job.name = "synthetic";
   job.category = "job";
   job.dur_us = 900'000;
   report.spans = {job};
-  ASSERT_TRUE(WriteJobTrace(report, ::testing::TempDir(), 7).ok());
-  const std::string base = ::testing::TempDir() + "/synthetic-7";
-  EXPECT_TRUE(std::ifstream(base + ".trace.json").good());
-  EXPECT_TRUE(std::ifstream(base + ".timeline.txt").good());
+  const std::string base = ::testing::TempDir() + "/synthetic-";
+
+  // Spans only: a plain Chrome trace, neither optional member.
+  ASSERT_TRUE(WriteJobBundle(report, ::testing::TempDir(), 7).ok());
+  const std::string plain = ReadFile(base + "7.trace.json");
+  EXPECT_NE(plain.find("\"traceEvents\""), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("\"profile\""), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("\"metrics\""), std::string::npos) << plain;
+
+  // A profiled, metered job carries both, after the trace events.
+  report.profile.Root("map")->rows_out = 5;
+  obs::MetricsSample sample;
+  sample.rows.push_back({"g", 3});
+  report.metrics_series.samples.push_back(sample);
+  ASSERT_TRUE(WriteJobBundle(report, ::testing::TempDir(), 8).ok());
+  const std::string full = ReadFile(base + "8.trace.json");
+  const size_t events = full.find("\"traceEvents\"");
+  const size_t profile = full.find("\"profile\":{\"wall_seconds\"");
+  const size_t metrics = full.find("\"metrics\":{\"interval_ms\"");
+  ASSERT_NE(events, std::string::npos) << full;
+  ASSERT_NE(profile, std::string::npos) << full;
+  ASSERT_NE(metrics, std::string::npos) << full;
+  EXPECT_LT(events, profile);
+  EXPECT_NE(full.find("\"g\":3"), std::string::npos) << full;
+  int braces = 0, brackets = 0;
+  for (char c : full) {
+    braces += (c == '{') - (c == '}');
+    brackets += (c == '[') - (c == ']');
+  }
+  EXPECT_EQ(braces, 0);
+  EXPECT_EQ(brackets, 0);
+
+  // The writer reports a path it cannot open.
+  const Status missing =
+      WriteJobBundle(report, ::testing::TempDir() + "/no_such_dir", 9);
+  EXPECT_EQ(missing.code(), StatusCode::kIoError) << missing.ToString();
 }
 
 }  // namespace

@@ -182,31 +182,6 @@ TEST(ExplainAnalyzeTest, JsonIsBalancedAndMarksSourcesNullSelectivity) {
   EXPECT_EQ(brackets, 0);
 }
 
-TEST(FlattenProfileTest, RebuildFromFlattenedPathsIsLossless) {
-  const QueryProfile original = SampleProfile();
-  const std::vector<FlatProfileNode> flat = FlattenProfile(original);
-  ASSERT_EQ(flat.size(), NumProfileOperators(original));
-  EXPECT_EQ(flat[0].path, "map");
-  // Paths are '>'-joined root-to-node, pre-order.
-  EXPECT_EQ(flat[1].path, "map>aggregate");
-  EXPECT_EQ(flat[3].path, "map>aggregate>probe>scan:/ssb/lineorder");
-
-  QueryProfile rebuilt;
-  rebuilt.wall_seconds = original.wall_seconds;
-  rebuilt.first_start_us = original.first_start_us;
-  rebuilt.last_end_us = original.last_end_us;
-  for (const FlatProfileNode& entry : flat) {
-    OperatorProfile* node = EnsureProfilePath(&rebuilt, entry.path);
-    ASSERT_NE(node, nullptr);
-    const std::string name = node->name;  // path-derived; keep it
-    *node = *entry.node;
-    node->name = name;
-    node->children.clear();  // children arrive via their own paths
-  }
-  EXPECT_EQ(ExplainAnalyzeJson(rebuilt), ExplainAnalyzeJson(original))
-      << "flatten -> EnsureProfilePath round trip must be byte-lossless";
-}
-
 TEST(ThreadCpuNanosTest, AdvancesWithWork) {
   const int64_t before = ThreadCpuNanos();
   uint64_t sink = 0;

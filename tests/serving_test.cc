@@ -442,7 +442,6 @@ TEST_F(ServingTest, PollerSamplesCacheGauges) {
   ASSERT_TRUE(spec.ok());
   serving::QueryServerOptions options;
   options.engine.obs.metrics = true;
-  options.engine.obs.metrics_interval_ms = 1;
   serving::QueryServer server(cluster_, dataset_->star, options);
   ASSERT_TRUE(server.Execute(*spec).ok());
   ASSERT_TRUE(server.Execute(*spec).ok());  // gauges observed mid-query

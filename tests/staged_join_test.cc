@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "common/strings.h"
 #include "core/clydesdale.h"
 #include "core/staged_join.h"
@@ -187,6 +189,11 @@ TEST_F(StagedJoinTest, EngineFallsBackAutomatically) {
 
   ClydesdaleOptions options;
 
+  const std::string trace_dir = ::testing::TempDir() + "/staged_traced_q42";
+  std::filesystem::remove_all(trace_dir);  // stale files from earlier runs
+  std::filesystem::create_directories(trace_dir);
+  options.obs.trace_dir = trace_dir;
+
   // With a budget that fits each dimension but not all four, the engine
   // stages automatically and still matches the reference.
   uint64_t max_single = 0, total = 0;
@@ -204,8 +211,17 @@ TEST_F(StagedJoinTest, EngineFallsBackAutomatically) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->stage_reports.size(), 2u);
   EXPECT_EQ(result->rows, Reference(*spec));
+  // Each staged job wrote its one trace bundle and nothing else.
+  size_t trace_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(trace_dir)) {
+    EXPECT_TRUE(EndsWith(entry.path().filename().string(), ".trace.json"))
+        << entry.path();
+    ++trace_files;
+  }
+  EXPECT_EQ(trace_files, result->stage_reports.size());
 
   // And with an ample budget the engine runs the single-job plan.
+  options.obs.trace_dir.clear();
   options.max_hash_memory_bytes = uint64_t{1} << 40;
   ClydesdaleEngine single(cluster_, dataset_->star, options);
   auto single_result = single.Execute(*spec);
